@@ -23,9 +23,17 @@ Architectures"* (Georganas et al., IPDPS 2024):
 * :mod:`repro.serve` — LLM inference serving: synthetic traffic,
   continuous batching, paged KV-cache pool, SLO-aware scheduling over
   the same cost substrate;
+* :mod:`repro.fleet` — multi-replica serving: routers, autoscaler,
+  streamed fleet traces, failover and observed-health defenses;
+* :mod:`repro.resilience` — seeded fault and silent-data-corruption
+  injection with the serve/fleet recovery policies and invariant checks;
+* :mod:`repro.obs` — tracing spans and labeled metrics every layer
+  reports into, behind the :class:`Session` facade;
 * :mod:`repro.verify` — nest verification: static race detection over
   tensor-slice traces, iteration-space coverage proofs, and a seeded
-  differential spec fuzzer.
+  differential spec fuzzer;
+* :mod:`repro.bench` — the benchmark harness (experiment tables, JSON
+  output) and the paper's published reference numbers.
 """
 
 from ._compat import ParlooperDeprecationWarning, deprecated_call

@@ -266,15 +266,19 @@ def run_spmm_batched(kern, B, C) -> np.ndarray:
 
 def _intern_codes(flat_codes: np.ndarray, decode) -> tuple:
     """First-appearance interning of integer key codes — the vectorized
-    twin of ``compile_trace``'s ``dict.setdefault`` walk."""
+    twin of ``compile_trace``'s ``dict.setdefault`` walk.
+
+    Returns ``(key_ids, key_table)``: the slice-key tuples are decoded
+    only if :attr:`CompiledTrace.keys` is read, which the perf replay
+    never does."""
     uniq, first_idx, inv = np.unique(flat_codes, return_index=True,
                                      return_inverse=True)
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size, dtype=np.int64)
     key_ids = rank[inv.reshape(-1)].astype(np.int64, copy=False)
-    keys = tuple(decode(int(uniq[o])) for o in order)
-    return key_ids, keys
+    codes = uniq[order]
+    return key_ids, lambda: tuple(map(decode, codes.tolist()))
 
 
 def _empty_trace(tid: int, num_loops: int) -> CompiledTrace:
@@ -289,7 +293,7 @@ def _empty_trace(tid: int, num_loops: int) -> CompiledTrace:
         compute_cycles=np.empty(0, np.float64),
         flops=np.empty(0, np.float64),
         n_events=0,
-        keys=(),
+        key_table=(),
         event_ind=np.empty((0, num_loops), np.int64),
     )
 
@@ -339,7 +343,7 @@ def _gemm_layer_trace(tid, plan, num_threads, *, Mb, Nb, Kb, k_step,
         i, j = divmod(rem, RJ)
         return (names[t], i, j)
 
-    key_ids, keys = _intern_codes(codes[mask], decode)
+    key_ids, key_table = _intern_codes(codes[mask], decode)
 
     row_nbytes = np.array([a_bytes] * ks + [b_bytes] * ks + [c_bytes] * 4,
                           dtype=np.float64)
@@ -381,15 +385,19 @@ def _gemm_layer_trace(tid, plan, num_threads, *, Mb, Nb, Kb, k_step,
         compute_cycles=cc,
         flops=flops,
         n_events=E,
-        keys=keys,
+        key_table=key_table,
         event_ind=np.repeat(inds, ev_count, axis=0),
     )
 
 
-def gemm_trace_builder(kern, machine, scale: float):
+def gemm_trace_builder(kern, machine, scale: float, loop=None):
     """``tid -> CompiledTrace`` for a ParlooperGemm, equal to compiling
-    the interpreter's trace of ``kern.sim_body(machine, scale)``."""
-    loop = kern.gemm_loop
+    the interpreter's trace of ``kern.sim_body(machine, scale)``.
+
+    *loop* is the instantiation to trace — any re-instantiation of the
+    kernel's loop declarations (a tuning candidate's plan and thread
+    count); the kernel's own ``gemm_loop`` by default."""
+    loop = kern.gemm_loop if loop is None else loop
     epilogue = kern.act_tpp is not None or kern.bias_tpp is not None
 
     def build(tid: int) -> CompiledTrace:
@@ -419,11 +427,12 @@ def mlp_layer_trace_builder(mlp, l: int, machine):
     return build
 
 
-def conv_trace_builder(kern, machine):
+def conv_trace_builder(kern, machine, loop=None):
     """``tid -> CompiledTrace`` for a ParlooperConv, equal to compiling
-    the interpreter's trace of ``kern.sim_body(machine)``."""
+    the interpreter's trace of ``kern.sim_body(machine)``; *loop* as in
+    :func:`gemm_trace_builder` (default ``kern.conv_loop``)."""
     sp = kern.spec
-    loop = kern.conv_loop
+    loop = kern.conv_loop if loop is None else loop
     cs, R, S = kern.c_step, sp.R, sp.S
     Cb, Kb = kern.Cb, kern.Kb
     N, H, P, Q, st = sp.N, sp.H, sp.P, sp.Q, sp.stride
@@ -478,7 +487,7 @@ def conv_trace_builder(kern, machine):
         codes = np.concatenate([a_code, b_code, c_code, c_code], axis=1)
         mask = np.ones((n, ncol), dtype=bool)
         mask[:, ncol - 2] = ic > 0   # beta read skipped on first touch
-        key_ids, keys = _intern_codes(codes[mask], decode)
+        key_ids, key_table = _intern_codes(codes[mask], decode)
         row_nbytes = np.array([a_bytes] * (cs * R)
                               + [b_bytes] * (cs * R * S)
                               + [c_bytes] * 2, dtype=np.float64)
@@ -497,18 +506,19 @@ def conv_trace_builder(kern, machine):
             compute_cycles=np.full(n, ev_cc, dtype=np.float64),
             flops=np.full(n, ev_flops, dtype=np.float64),
             n_events=n,
-            keys=keys,
+            key_table=key_table,
             event_ind=inds,
         )
     return build
 
 
-def spmm_trace_builder(kern, machine):
+def spmm_trace_builder(kern, machine, loop=None):
     """``tid -> CompiledTrace`` for a ParlooperSpmm, equal to compiling
     the interpreter's trace of ``kern.sim_body(machine)`` (empty block
-    rows emit no event, exactly like the ``None`` body returns)."""
+    rows emit no event, exactly like the ``None`` body returns); *loop*
+    as in :func:`gemm_trace_builder` (default ``kern.spmm_loop``)."""
     a = kern.a
-    loop = kern.spmm_loop
+    loop = kern.spmm_loop if loop is None else loop
     counts = np.diff(a.row_ptr)
     mx = int(counts.max()) if counts.size and a.nnz_blocks else 0
     NBR, NBC, Nb = a.n_block_rows, a.n_block_cols, kern.Nb
@@ -550,7 +560,7 @@ def spmm_trace_builder(kern, machine):
         w = kcs.shape[1]
         codes = np.concatenate([a_code, b_code, c_code], axis=1)
         mask = np.concatenate([vmask, vmask, has[:, None]], axis=1)
-        key_ids, keys = _intern_codes(codes[mask], decode)
+        key_ids, key_table = _intern_codes(codes[mask], decode)
         row_nbytes = np.array([a_bytes] * w + [b_bytes] * w + [c_bytes],
                               dtype=np.float64)
         row_wr = np.array([False] * (2 * w) + [True], dtype=bool)
@@ -581,7 +591,7 @@ def spmm_trace_builder(kern, machine):
             compute_cycles=cc,
             flops=flops,
             n_events=E,
-            keys=keys,
+            key_table=key_table,
             event_ind=inds[has],
         )
     return build

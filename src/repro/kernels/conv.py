@@ -264,11 +264,15 @@ class ParlooperConv:
                 sample_threads: int | None = None):
         """Box-B3 performance-model companion of :meth:`simulate`."""
         from ..session import resolve_session
-        builder = None
-        if self.backend == "batched":
-            from .batched import conv_trace_builder
-            builder = conv_trace_builder(self, machine)
         return resolve_session(session).predict(
             self.conv_loop, self._cached_sim_body(machine), machine,
             sample_threads=sample_threads, total_flops=float(self.flops),
-            body_key=self._body_key(machine), trace_builder=builder)
+            body_key=self._body_key(machine),
+            trace_builder=self.trace_builder(machine))
+
+    def trace_builder(self, machine: MachineModel, loop=None):
+        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
+        ``conv_loop``), equal to compiling the interpreter's trace of
+        :meth:`sim_body` but built vectorized."""
+        from .batched import conv_trace_builder   # looked up per call
+        return conv_trace_builder(self, machine, loop)

@@ -55,8 +55,9 @@ class ParlooperGemm:
     backend:
         ``"interp"`` (default) runs one body call per iteration;
         ``"batched"`` lowers eligible nests to tile-level stacked NumPy
-        (:mod:`repro.kernels.batched`) and vectorizes trace capture,
-        falling back to the interpreter otherwise.
+        (:mod:`repro.kernels.batched`), falling back to the interpreter
+        otherwise.  Trace capture for :meth:`predict` is vectorized
+        under either backend (:meth:`trace_builder`).
     """
 
     def __init__(self, M: int, N: int, K: int,
@@ -325,16 +326,21 @@ class ParlooperGemm:
         from ..session import resolve_session
         sess = resolve_session(session)
         scale = self._conflict_scale()
-        builder = None
-        if self.backend == "batched":
-            from .batched import gemm_trace_builder
-            builder = gemm_trace_builder(self, machine, scale)
         return sess.predict(self.gemm_loop,
                             self._cached_sim_body(machine, scale),
                             machine, sample_threads=sample_threads,
                             total_flops=float(self.flops),
                             body_key=self._body_key(machine, scale),
-                            trace_builder=builder)
+                            trace_builder=self.trace_builder(machine))
+
+    def trace_builder(self, machine: MachineModel, loop=None):
+        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
+        ``gemm_loop``; a tuning candidate passes its own), equal to
+        compiling the interpreter's trace of :meth:`sim_body` but built
+        vectorized, whatever the execution backend."""
+        from .batched import gemm_trace_builder   # looked up per call
+        return gemm_trace_builder(self, machine, self._conflict_scale(),
+                                  loop)
 
     def with_spec(self, spec_string: str, block_steps=None,
                   num_threads=None) -> "ParlooperGemm":

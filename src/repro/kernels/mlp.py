@@ -186,21 +186,16 @@ class ParlooperMlp:
         """
         from ..session import resolve_session
         from ..simulator.perfmodel import PerfPrediction
+        from .batched import mlp_layer_trace_builder
         sess = resolve_session(session)
-
-        def _builder(l):
-            if self.backend != "batched":
-                return None
-            from .batched import mlp_layer_trace_builder
-            return mlp_layer_trace_builder(self, l, machine)
-
         preds = [
             sess.predict(self.layers[l].gemm.gemm_loop,
                          self._layer_sim_body(l, machine), machine,
                          sample_threads=sample_threads,
                          total_flops=float(self.layers[l].gemm.flops),
                          body_key=self._layer_body_key(l, machine),
-                         trace_builder=_builder(l))
+                         trace_builder=mlp_layer_trace_builder(
+                             self, l, machine))
             for l in range(len(self.layers))
         ]
         seconds = sum(p.seconds for p in preds)

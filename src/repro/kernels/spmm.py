@@ -188,15 +188,19 @@ class ParlooperSpmm:
 
         Scored in *effective* (dense-equivalent) flops, like Fig 8."""
         from ..session import resolve_session
-        builder = None
-        if self.backend == "batched":
-            from .batched import spmm_trace_builder
-            builder = spmm_trace_builder(self, machine)
         return resolve_session(session).predict(
             self.spmm_loop, self._cached_sim_body(machine), machine,
             sample_threads=sample_threads,
             total_flops=float(self.effective_flops),
-            body_key=self._body_key(machine), trace_builder=builder)
+            body_key=self._body_key(machine),
+            trace_builder=self.trace_builder(machine))
+
+    def trace_builder(self, machine: MachineModel, loop=None):
+        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
+        ``spmm_loop``), equal to compiling the interpreter's trace of
+        :meth:`sim_body` but built vectorized."""
+        from .batched import spmm_trace_builder   # looked up per call
+        return spmm_trace_builder(self, machine, loop)
 
     def effective_gflops(self, machine: MachineModel, session=None) -> float:
         """Dense-equivalent throughput (Fig 8 y-axis)."""

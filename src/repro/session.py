@@ -161,7 +161,7 @@ class Session:
 
         *trace_builder* (``tid -> CompiledTrace``) captures traces
         vectorized instead of interpreting the nest; kernels pass their
-        builders automatically when built with ``backend="batched"``."""
+        builders automatically, whatever their execution backend."""
         with self.activate():
             return _predict(loop, sim_body, self._resolve_machine(machine),
                             sample_threads=sample_threads,

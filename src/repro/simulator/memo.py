@@ -108,7 +108,11 @@ class TraceCache:
 
     # -- core get-or-build ------------------------------------------------
 
-    def _get(self, key, build):
+    def _get(self, key, build, capture=None):
+        """Cached value of *key*, built on a miss.  *capture* names the
+        capture path a build runs (``"builder"`` or ``"interp"``); each
+        such build counts on the ``trace_capture`` obs counter, so a
+        silent fall back to interpreting the nest shows."""
         obs = _obs()
         with self._lock:
             entry = self._entries.get(key)
@@ -122,6 +126,8 @@ class TraceCache:
         # build produces an identical trace and is harmless
         with obs.span("trace_capture", kind=key[0]):
             value = build()
+        if capture is not None and obs.enabled:
+            obs.inc("trace_capture", path=capture)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -148,7 +154,8 @@ class TraceCache:
                loop.num_threads, tid)
         return self._get(
             key, lambda: trace_threaded_loop(
-                loop, self._memo_body(sim_body, body_key), tids=[tid])[0])
+                loop, self._memo_body(sim_body, body_key), tids=[tid])[0],
+            capture="interp")
 
     def compiled_thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
                               body_key=None, builder=None) -> CompiledTrace:
@@ -172,7 +179,8 @@ class TraceCache:
                loop.num_threads, tid)
         if builder is not None:
             return self._get(
-                key, lambda: self._share_reuse_memo(builder(tid)))
+                key, lambda: self._share_reuse_memo(builder(tid)),
+                capture="builder")
         return self._get(
             key,
             lambda: self._share_reuse_memo(compile_trace(
@@ -218,7 +226,8 @@ class TraceCache:
                self._specs_key(loop), _serialize_spec(loop.spec_string))
         return self._get(
             key,
-            lambda: trace_flat(loop, self._memo_body(sim_body, body_key)))
+            lambda: trace_flat(loop, self._memo_body(sim_body, body_key)),
+            capture="interp")
 
     def stats(self) -> dict:
         with self._lock:

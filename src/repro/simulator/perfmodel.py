@@ -78,14 +78,16 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
     ``ind``; pass a stable *body_key* when the closure is rebuilt per
     call.
 
-    *trace_builder* (``tid -> CompiledTrace``, requires *trace_cache*)
-    captures traces vectorized instead of interpreting the nest — see
-    :meth:`~repro.simulator.memo.TraceCache.compiled_thread_trace`.
+    *trace_builder* (``tid -> CompiledTrace``) captures traces
+    vectorized instead of interpreting the nest — see
+    :meth:`~repro.simulator.memo.TraceCache.compiled_thread_trace` —
+    and selects the vectorized replay even without a *trace_cache*
+    (the traces are then built afresh and not kept).
     """
     with _obs().span("predict", spec=loop.spec_string,
                      machine=machine.name,
                      memoized=trace_cache is not None):
-        if trace_cache is not None:
+        if trace_cache is not None or trace_builder is not None:
             return _predict_memoized(loop, sim_body, machine,
                                      sample_threads, total_flops,
                                      trace_cache, body_key, trace_builder)
@@ -188,9 +190,9 @@ def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
 
     Same tid selection, same extrapolation arithmetic; replay goes
     through :func:`~repro.simulator.reuse.hit_levels` instead of
-    per-access LRU updates.  Falls back to the LRU replay (still with
-    memoized capture) when a trace violates the reuse-distance
-    preconditions.
+    per-access LRU updates.  Falls back to the LRU replay (with
+    memoized capture when there is a *trace_cache*) when a trace
+    violates the reuse-distance preconditions.
     """
     num_threads = loop.num_threads
     sampled = sample_threads is not None and sample_threads < num_threads
@@ -202,15 +204,20 @@ def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
     else:
         tids = list(range(num_threads))
     try:
-        compiled = [trace_cache.compiled_thread_trace(loop, sim_body, tid,
-                                                      body_key=body_key,
-                                                      builder=trace_builder)
-                    for tid in tids]
+        if trace_cache is None:
+            compiled = [trace_builder(tid) for tid in tids]
+        else:
+            compiled = [trace_cache.compiled_thread_trace(
+                loop, sim_body, tid, body_key=body_key,
+                builder=trace_builder) for tid in tids]
         pred = _predict_compiled(compiled, machine, num_threads)
     except ValueError:
-        traces = [trace_cache.thread_trace(loop, sim_body, tid,
-                                           body_key=body_key)
-                  for tid in tids]
+        if trace_cache is None:
+            traces = trace_threaded_loop(loop, sim_body, tids=tids)
+        else:
+            traces = [trace_cache.thread_trace(loop, sim_body, tid,
+                                               body_key=body_key)
+                      for tid in tids]
         pred = predict_traces(traces, machine, num_threads, None)
     if sampled:
         flops = (total_flops if total_flops is not None

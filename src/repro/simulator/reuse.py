@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class CompiledTrace:
     ``flops`` are per *event* and precomputed with exactly the float
     operations of :meth:`BodyEvent.compute_cycles`, so a vectorized replay
     reproduces the scalar replay bit for bit.
+
+    The slice keys themselves are only needed for reporting (the digest,
+    race attribution), never by the replay: read them through
+    :attr:`keys`, which decodes a deferred ``key_table`` once, and count
+    them with :attr:`n_keys`, which never decodes.
     """
 
     tid: int
@@ -81,7 +87,10 @@ class CompiledTrace:
     compute_cycles: np.ndarray  # float64 [E]
     flops: np.ndarray          # float64 [E]
     n_events: int
-    keys: tuple                # id -> original slice key
+    #: id -> original slice key: the tuple itself, or a zero-argument
+    #: callable returning it (the vectorized builders intern integer
+    #: codes and defer building the Python key tuples)
+    key_table: object
     #: optional int64 [E, num_loops] logical index vector of each event's
     #: body invocation — populated by the batched trace builders so
     #: :mod:`repro.verify.races` can attribute accesses to iterations
@@ -95,6 +104,18 @@ class CompiledTrace:
     @property
     def n_accesses(self) -> int:
         return int(self.key_ids.size)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """id -> original slice key, decoded on first read."""
+        table = self.key_table
+        return table() if callable(table) else table
+
+    @property
+    def n_keys(self) -> int:
+        """Distinct slice keys.  Ids are dense first-appearance ranks,
+        so the largest id counts them without decoding :attr:`keys`."""
+        return int(self.key_ids.max()) + 1 if self.key_ids.size else 0
 
     def digest(self) -> str:
         """Content hash of everything the replay consumes (``event_ind``
@@ -170,7 +191,7 @@ def compile_trace(trace: ThreadTrace) -> CompiledTrace:
         flops=np.fromiter((ev.flops for ev in events), dtype=np.float64,
                           count=len(events)),
         n_events=len(events),
-        keys=tuple(intern),
+        key_table=tuple(intern),
     )
 
 

@@ -196,7 +196,7 @@ def trace_features(compiled) -> np.ndarray:
     total_bytes = float(compiled.nbytes.sum())
     out[0] = _log2(n)
     out[1] = _log2(compiled.n_events)
-    out[2] = _log2(len(compiled.keys))
+    out[2] = _log2(compiled.n_keys)
     out[3] = _log2(total_bytes)
     out[4] = float(np.count_nonzero(compiled.write)) / n
     out[5] = _log2(compiled.total_flops / max(total_bytes, 1.0))

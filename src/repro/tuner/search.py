@@ -122,7 +122,7 @@ def perfmodel_evaluator(base_specs, sim_body, machine: MachineModel,
                         num_threads: int | None = None,
                         sample_threads: int | None = 4,
                         total_flops: float | None = None,
-                        trace_cache=None):
+                        trace_cache=None, trace_builder=None):
     """Evaluator using the Box-B3 model — the paper's cheap tuning path.
 
     Pass ``total_flops`` (the instantiation-independent kernel flop
@@ -130,13 +130,20 @@ def perfmodel_evaluator(base_specs, sim_body, machine: MachineModel,
     A shared ``trace_cache`` (:class:`~repro.simulator.memo.TraceCache`)
     makes sweeps trace each iteration order once and replay it through
     the vectorized reuse-distance simulator; scores are bit-identical.
+
+    *trace_builder* (``loop -> (tid -> CompiledTrace)``, e.g. a kernel's
+    ``trace_builder`` with the machine bound) builds each candidate's
+    traces vectorized instead of interpreting its nest with *sim_body*;
+    the traces, and so the scores, are identical.
     """
     def evaluate(candidate: Candidate) -> TuneOutcome:
         loop = candidate.build_loop(base_specs, num_threads=num_threads)
         pred = predict(loop, sim_body, machine,
                        sample_threads=sample_threads,
                        total_flops=total_flops,
-                       trace_cache=trace_cache)
+                       trace_cache=trace_cache,
+                       trace_builder=None if trace_builder is None
+                       else trace_builder(loop))
         return TuneOutcome(candidate, pred.score, pred.seconds)
     evaluate.verifier = race_verifier(base_specs, sim_body, num_threads)
     return evaluate

@@ -20,6 +20,12 @@ Strategies:
   guided_search`): ridge cost model screens the pool and a beam search
   over spec-edit actions spends exact evaluations only on survivors.
 
+Kernels that also expose ``trace_builder(machine, loop)`` (GEMM, conv
+and SpMM do) have each candidate's traces built vectorized from its
+plan by the perf-model evaluator — no nest interpretation, identical
+scores.  An explicit ``sim_body=`` (or a bare spec list) keeps
+interpreter capture of that body.
+
 Evaluators are interchangeable under the :class:`Evaluator` protocol —
 pass ``evaluator="perfmodel"``/``"engine"`` for the stock ones or any
 ``candidate -> TuneOutcome`` callable (carry a ``.verifier`` attribute
@@ -28,6 +34,7 @@ to support ``verify=True``).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -139,8 +146,12 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     ----------
     kernel_or_specs:
         A kernel object (``sim_body(machine)`` + ``flops`` + a
-        ThreadedLoop attribute) or a list of
-        :class:`~repro.core.loop_spec.LoopSpecs` (then pass *sim_body*).
+        ThreadedLoop attribute, optionally ``trace_builder(machine,
+        loop)``) or a list of :class:`~repro.core.loop_spec.LoopSpecs`
+        (then pass *sim_body*).
+    sim_body:
+        Overrides a kernel's own body; traces are then captured by
+        interpreting each candidate's nest with it.
     machine:
         Target :class:`~repro.platform.machine.MachineModel` (required).
     constraints / budget / candidates:
@@ -171,6 +182,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
             "'screened' or 'guided'")
 
     # resolve the kernel protocol vs bare declarations
+    trace_builder = None
     if isinstance(kernel_or_specs, (list, tuple)) and all(
             isinstance(s, LoopSpecs) for s in kernel_or_specs):
         base_specs = tuple(kernel_or_specs)
@@ -184,6 +196,11 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
         base_specs = tuple(loop.specs)
         if sim_body is None:
             sim_body = kernel.sim_body(machine)
+            # the kernel's own body has a vectorized twin: build each
+            # candidate's traces with it instead of interpreting the nest
+            make_builder = getattr(kernel, "trace_builder", None)
+            if make_builder is not None:
+                trace_builder = functools.partial(make_builder, machine)
         if total_flops is None:
             total_flops = float(getattr(kernel, "flops", 0)) or None
         if num_threads is None:
@@ -204,7 +221,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
             return perfmodel_evaluator(
                 base_specs, sim_body, machine, num_threads=num_threads,
                 sample_threads=sample_threads, total_flops=total_flops,
-                trace_cache=trace_cache)
+                trace_cache=trace_cache, trace_builder=trace_builder)
         if kind == "engine":
             return engine_evaluator(
                 base_specs, sim_body, machine, num_threads=num_threads,

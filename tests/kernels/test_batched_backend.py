@@ -34,12 +34,19 @@ def ints(shape):
 
 
 def digests_equal(loop, sim_body, builder) -> bool:
-    """Builder-emitted CompiledTrace digests equal the interpreter's."""
+    """Builder-emitted CompiledTrace digests equal the interpreter's, and
+    so do the builder's slice keys, which it decodes only on demand."""
     tc = TraceCache()
-    return all(
-        compile_trace(tc.thread_trace(loop, sim_body, tid)).digest()
-        == builder(tid).digest()
-        for tid in range(loop.num_threads))
+    for tid in range(loop.num_threads):
+        ref = compile_trace(tc.thread_trace(loop, sim_body, tid))
+        got = builder(tid)
+        if got.n_accesses and not callable(got.key_table):
+            return False            # keys were decoded eagerly
+        if got.n_keys != len(ref.keys) or got.keys != ref.keys:
+            return False
+        if got.digest() != ref.digest():
+            return False
+    return True
 
 
 class TestBackendKnob:
@@ -182,19 +189,21 @@ class TestConvBatched:
                              conv_trace_builder(bat, SPR))
 
 
+def ragged_amat():
+    dense = ints((128, 128))
+    # knock out whole 16x16 blocks so block rows have ragged nnz
+    for (i, k) in [(0, 1), (0, 3), (2, 0), (2, 2), (5, 5), (7, 0),
+                   (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6),
+                   (7, 7)]:
+        dense[i * 16:(i + 1) * 16, k * 16:(k + 1) * 16] = 0.0
+    return BCSCMatrix.from_dense(dense, 16, 16)
+
+
 class TestSpmmBatched:
-    def _amat(self):
-        dense = ints((128, 128))
-        # knock out whole 16x16 blocks so block rows have ragged nnz
-        for (i, k) in [(0, 1), (0, 3), (2, 0), (2, 2), (5, 5), (7, 0),
-                       (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6),
-                       (7, 7)]:
-            dense[i * 16:(i + 1) * 16, k * 16:(k + 1) * 16] = 0.0
-        return BCSCMatrix.from_dense(dense, 16, 16)
 
     @pytest.mark.parametrize("spec", ["Ab", "aB", "AB"])
     def test_bit_identical(self, spec):
-        amat = self._amat()
+        amat = ragged_amat()
         b = ints((128, 64))
         ref = ParlooperSpmm(amat, 64, bn=16, spec_string=spec,
                             num_threads=4)
@@ -203,7 +212,7 @@ class TestSpmmBatched:
         assert np.array_equal(ref.run(b), bat.run(b))
 
     def test_trace_digests(self):
-        bat = ParlooperSpmm(self._amat(), 64, bn=16, num_threads=4,
+        bat = ParlooperSpmm(ragged_amat(), 64, bn=16, num_threads=4,
                             backend="batched")
         assert digests_equal(bat.spmm_loop, bat.sim_body(SPR),
                              spmm_trace_builder(bat, SPR))
@@ -231,6 +240,51 @@ class TestMlpBatched:
             assert digests_equal(bat.layers[l].gemm.gemm_loop,
                                  bat._layer_sim_body(l, SPR),
                                  mlp_layer_trace_builder(bat, l, SPR))
+
+
+class TestPredictBackends:
+    """predict() builds its traces vectorized under either execution
+    backend, so both backends predict bit-identically, and equal to
+    interpreting the nest."""
+
+    def _gemm(self, **kw):
+        return ParlooperGemm(128, 256, 128, 16, 32, 16, k_step=2,
+                             spec_string="bcaBC",
+                             block_steps=((), (2,), (2,)), num_threads=3,
+                             **kw)
+
+    def _conv(self, **kw):
+        return ParlooperConv(ConvSpec(N=2, C=32, K=32, H=6, W=6), bc=16,
+                             bk=16, w_step=2, num_threads=3, **kw)
+
+    def _spmm(self, **kw):
+        return ParlooperSpmm(ragged_amat(), 64, bn=16,
+                             num_threads=3, **kw)
+
+    def _mlp(self, **kw):
+        return ParlooperMlp([64, 64, 64], 64, bm=16, bn=16, bk=16,
+                            num_threads=3, **kw)
+
+    @pytest.mark.parametrize("make,kw", [
+        ("_gemm", {}), ("_conv", {}), ("_spmm", {}), ("_mlp", {}),
+        ("_gemm", dict(flat_b=True, activation="relu", bias=True))])
+    @pytest.mark.parametrize("sample_threads", [None, 2])
+    def test_bit_identical(self, make, kw, sample_threads):
+        from repro.session import Session
+        preds = [getattr(self, make)(backend=b, **kw).predict(
+                     SPR, session=Session(), sample_threads=sample_threads)
+                 for b in ("interp", "batched")]
+        assert preds[0].seconds == preds[1].seconds
+        assert preds[0].score == preds[1].score
+
+    def test_equals_interpreter_capture(self):
+        from repro.session import Session
+        kern = self._gemm()
+        got = kern.predict(SPR, session=Session(), sample_threads=2)
+        ref = Session().predict(kern.gemm_loop, kern.sim_body(SPR), SPR,
+                                sample_threads=2,
+                                total_flops=float(kern.flops))
+        assert (got.seconds, got.score) == (ref.seconds, ref.score)
 
 
 class TestFallbackGates:

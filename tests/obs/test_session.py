@@ -74,8 +74,12 @@ class TestTraceCacheCounters:
         p1 = g.predict(SPR, session=sess)
         misses = sess.metrics.value("cache_events", cache="trace",
                                     kind="miss")
-        # cold: per tid, one raw-trace miss + one compiled-trace miss
-        assert misses == 2 * g.num_threads
+        # cold: per tid, one compiled-trace miss — the kernel's trace
+        # builder emits it directly, with no raw interpreter trace
+        assert misses == g.num_threads
+        assert sess.metrics.value("trace_capture", path="builder") == \
+            g.num_threads
+        assert sess.metrics.value("trace_capture", path="interp") == 0
         assert sess.metrics.value("cache_events", cache="trace",
                                   kind="hit") == 0
         p2 = g.predict(SPR, session=sess)
@@ -89,8 +93,10 @@ class TestTraceCacheCounters:
         sess = tick_session()
         small_gemm().predict(SPR, session=sess)
         small_gemm().predict(SPR, session=sess)
+        # 4 tids: the first instance builds 4 compiled traces, the second
+        # hits all 4
         assert sess.trace_cache.hits == 4
-        assert sess.trace_cache.misses == 8
+        assert sess.trace_cache.misses == 4
 
     def test_predict_and_simulate_spans_recorded(self):
         sess = tick_session()

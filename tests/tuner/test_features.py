@@ -126,3 +126,20 @@ class TestTraceFeatures:
                            + len(trace_feature_names()))
         tail = v1[-len(trace_feature_names()):]
         assert tail.any(), "trace features should be populated"
+
+    def test_builder_trace_features_never_decode_keys(self):
+        from dataclasses import replace
+
+        from repro.simulator.reuse import compile_trace
+        from repro.simulator.trace import trace_threaded_loop
+        from repro.tuner.features import trace_features
+        g = ParlooperGemm(128, 128, 128, 32, 32, 32, num_threads=2)
+
+        def undecodable():
+            raise AssertionError("trace features decoded slice keys")
+
+        built = replace(g.trace_builder(SPR)(0), key_table=undecodable)
+        ref = compile_trace(trace_threaded_loop(
+            g.gemm_loop, g.sim_body(SPR), tids=[0])[0])
+        assert trace_features(built).tobytes() == \
+            trace_features(ref).tobytes()

@@ -46,6 +46,22 @@ class TestEquivalence:
         reports = detect_races_compiled(kern.gemm_loop, _built(kern))
         assert any(r.kind == "WW" and r.tensor == "C" for r in reports)
 
+    def test_attributes_races_from_lazily_decoded_keys(self):
+        # builders defer slice-key decoding; the detector's first read
+        # of ``keys`` must still name the contended C blocks
+        kern = _gemm("Abc")
+        traces = _built(kern)
+        assert all(callable(ct.key_table) for ct in traces)
+        reports = detect_races_compiled(kern.gemm_loop, traces)
+        assert reports
+        tc = TraceCache()
+        for ct in traces:
+            ref = compile_trace(tc.thread_trace(kern.gemm_loop,
+                                                kern.sim_body(SPR), ct.tid))
+            assert ct.keys == ref.keys
+        assert all(r.key in traces[0].keys and r.key[0] == "C"
+                   for r in reports if r.kind == "WW")
+
     def test_clean_spec_is_empty(self):
         kern = _gemm("aBC")
         assert detect_races_compiled(kern.gemm_loop, _built(kern)) == []
