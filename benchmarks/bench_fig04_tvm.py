@@ -15,8 +15,7 @@ from repro.kernels import ParlooperGemm
 from repro.platform import SPR
 from repro.simulator import brgemm_event
 from repro.tpp.dtypes import DType
-from repro.tuner import (TuningConstraints, generate_candidates,
-                         perfmodel_evaluator, search)
+from repro.tuner import TuningConstraints, tune
 
 SIZES = [(512, 512, 512), (1024, 1024, 1024),
          (2048, 2048, 2048), (4096, 4096, 4096)]
@@ -30,7 +29,6 @@ def _tune_parlooper(M, N, K, budget):
     cons = TuningConstraints(max_occurrences={"a": 1, "b": 2, "c": 2},
                              parallelizable=frozenset({"b", "c"}),
                              max_candidates=budget)
-    cands = generate_candidates(specs, cons)
 
     def body(ind):
         ik, im, inn = ind
@@ -39,9 +37,9 @@ def _tune_parlooper(M, N, K, budget):
                             [("B", inn, k) for k in range(Kb)],
                             ("C", inn, im), beta=1.0, c_first_touch=True)
 
-    res = search(cands, perfmodel_evaluator(
-        specs, body, SPR, num_threads=112, sample_threads=2,
-        total_flops=2.0 * M * N * K))
+    res = tune(specs, machine=SPR, sim_body=body, constraints=cons,
+               num_threads=112, sample_threads=2,
+               total_flops=2.0 * M * N * K)
     best = res.best.candidate
     kernel = ParlooperGemm(M, N, K, bm, bn, bk,
                            spec_string=best.spec_string,

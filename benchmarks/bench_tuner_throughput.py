@@ -35,7 +35,7 @@ from repro.platform import ADL, GVT3, SPR, ZEN4
 from repro.simulator import TraceCache, brgemm_event
 from repro.tpp.dtypes import DType
 from repro.tuner import (EvalCache, TuningConstraints, generate_candidates,
-                         perfmodel_evaluator, search, tune)
+                         tune)
 
 MACHINES = [SPR, GVT3, ZEN4, ADL]   # the paper's four tuned testbeds
 SIZES = [(1024, 1024, 1024), (2048, 2048, 2048)]
@@ -100,18 +100,19 @@ def _tune_sweep(kern, cands):
 
 
 def _sweep(specs, cands, body, total_flops, trace_cache=None,
-           eval_cache=None, workload_sig=""):
-    """One multi-machine tuning sweep; returns ({machine: result}, secs)."""
+           eval_cache=None, workload_sig=None):
+    """One multi-machine tuning sweep of the bare declaration with the
+    hand-written body; returns ({machine: report}, secs)."""
     results = {}
     t0 = time.perf_counter()
     for m in MACHINES:
-        evaluator = perfmodel_evaluator(
-            specs, body, m, num_threads=NUM_THREADS,
-            sample_threads=SAMPLE_THREADS, total_flops=total_flops,
-            trace_cache=trace_cache)
-        if eval_cache is not None:
-            evaluator = eval_cache.wrap(evaluator, m, workload_sig)
-        results[m.name] = search(cands, evaluator)
+        results[m.name] = tune(specs, machine=m, sim_body=body,
+                               candidates=cands, num_threads=NUM_THREADS,
+                               sample_threads=SAMPLE_THREADS,
+                               total_flops=total_flops,
+                               trace_cache=trace_cache,
+                               eval_cache=eval_cache,
+                               workload_sig=workload_sig)
     return results, time.perf_counter() - t0
 
 

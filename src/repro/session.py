@@ -16,15 +16,14 @@ instrumentation site across the stack reports into *this* session's
 tracer/registry — and into cheap no-ops for sessions with observability
 disabled.
 
-The classic module-level entry points (``repro.predict``,
-``repro.simulate``, ``repro.search``) remain, as thin wrappers over a
-shared **default session** whose observability is off and whose caches
-are the process-global ones — existing code keeps its exact behavior.
+The module-level entry points (``repro.predict``, ``repro.simulate``,
+``repro.tune``) are thin wrappers over a shared **default session**
+whose observability is off and whose caches are the process-global
+ones.
 """
 
 from __future__ import annotations
 
-from ._compat import deprecated_call
 from .core.cache import NestCache, global_nest_cache
 from .core.threaded_loop import ThreadedLoop
 from .obs import ObsConfig, use
@@ -32,11 +31,10 @@ from .simulator.engine import simulate as _simulate
 from .simulator.memo import TraceCache, global_trace_cache
 from .simulator.perfmodel import predict as _predict
 from .tuner.evalcache import EvalCache
-from .tuner.search import search as _search
 from .tuner.tune import tune as _tune
 
 __all__ = ["Session", "default_session", "resolve_session",
-           "predict", "simulate", "search", "tune"]
+           "predict", "simulate", "tune"]
 
 
 class Session:
@@ -185,28 +183,17 @@ class Session:
         """One-call tuning (:func:`repro.tuner.tune.tune`) through this
         session's machine, caches and observability.
 
-        Replaces the classic ``generate_candidates`` → evaluator →
-        ``search`` three-call dance: pass a kernel (or bare spec
-        declarations plus ``sim_body=``), pick
-        ``strategy="exhaustive" | "screened" | "guided"``, and read the
-        returned :class:`~repro.tuner.tune.TuneReport`.  The session's
-        trace cache backs evaluation, and its eval cache absorbs
-        results whenever ``workload_sig=`` is given."""
+        Pass a kernel (or bare spec declarations plus ``sim_body=``),
+        pick ``strategy="exhaustive" | "screened" | "guided"``, and read
+        the returned :class:`~repro.tuner.search.TuneReport`.  The
+        session's trace cache backs evaluation, and its eval cache
+        absorbs results whenever ``workload_sig=`` is given."""
         kwargs.setdefault("trace_cache", self.trace_cache)
         if "workload_sig" in kwargs:
             kwargs.setdefault("eval_cache", self.eval_cache)
         with self.activate():
             return _tune(kernel_or_specs,
                          machine=self._resolve_machine(machine), **kwargs)
-
-    def search(self, candidates, evaluator, **kwargs):
-        """A tuning sweep (:func:`repro.tuner.search.search`) reporting
-        into this session's tracer/metrics.
-
-        The classic low-level entry point; :meth:`tune` wraps candidate
-        generation, evaluator construction and this sweep in one call."""
-        with self.activate():
-            return _search(candidates, evaluator, **kwargs)
 
     # -- serve -------------------------------------------------------------
     def serve(self, config, machine=None, **kwargs):
@@ -286,13 +273,3 @@ def tune(kernel_or_specs, **kwargs):
     session (``machine=`` is required there, since the default session
     has none)."""
     return default_session().tune(kernel_or_specs, **kwargs)
-
-
-@deprecated_call("repro.search()", "Session.tune() / repro.tune()")
-def search(candidates, evaluator, **kwargs):
-    """Deprecated module-level :func:`repro.tuner.search.search` over
-    the default session — the one-call :func:`tune` replaces the
-    generate/evaluate/search dance.  (The low-level engine stays public
-    as ``repro.tuner.search``.)"""
-    with default_session().activate():
-        return _search(candidates, evaluator, **kwargs)

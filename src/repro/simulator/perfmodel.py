@@ -192,7 +192,8 @@ def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
     through :func:`~repro.simulator.reuse.hit_levels` instead of
     per-access LRU updates.  Falls back to the LRU replay (with
     memoized capture when there is a *trace_cache*) when a trace
-    violates the reuse-distance preconditions.
+    violates the reuse-distance preconditions, counting each fall back
+    on the ``lru_fallback`` obs counter.
     """
     num_threads = loop.num_threads
     sampled = sample_threads is not None and sample_threads < num_threads
@@ -212,6 +213,9 @@ def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
                 builder=trace_builder) for tid in tids]
         pred = _predict_compiled(compiled, machine, num_threads)
     except ValueError:
+        obs = _obs()
+        if obs.enabled:
+            obs.inc("lru_fallback", model="perfmodel")
         if trace_cache is None:
             traces = trace_threaded_loop(loop, sim_body, tids=tids)
         else:

@@ -8,11 +8,11 @@ only evaluates what it has not seen, and can persist the table to JSON
 between processes.
 
 Only successful evaluations are cached; invalid candidates re-raise
-their (cheap, build-time) errors so :func:`~repro.tuner.search.search`
-accounting stays intact.  With ``search(workers=N)``, lookups hit in
-every forked worker but stores made inside workers die with them — call
-:meth:`record` on the returned ``SearchResult`` to backfill the parent
-cache from the outcomes (which do survive the pool) before saving.
+their (cheap, build-time) errors so the sweep's skip accounting stays
+intact.  With ``tune(workers=N)``, lookups hit in every forked worker
+but stores made inside workers die with them — :meth:`record` backfills
+the parent cache from the returned ``TuneReport``'s outcomes (which do
+survive the pool); ``tune()`` calls it after every sweep.
 """
 
 from __future__ import annotations
@@ -94,12 +94,13 @@ class EvalCache:
         return evaluate
 
     def record(self, result, machine, workload_sig: str) -> int:
-        """Backfill the cache from a finished search's valid outcomes.
+        """Backfill the cache from a finished sweep's valid outcomes.
 
-        Needed after ``search(workers=N)``: evaluations (and the stores a
+        Needed after ``workers=N`` sweeps: evaluations (and the stores a
         wrapped evaluator makes) happen in forked workers, but the
-        outcomes come back to the parent — record them here before
-        :meth:`save`.  Returns how many entries were added.
+        outcomes come back to the parent in the
+        :class:`~repro.tuner.search.TuneReport`.  ``tune()`` records
+        every report it returns.  Returns how many entries were added.
         """
         machine_sig = getattr(machine, "name", None) or str(machine)
         added = 0

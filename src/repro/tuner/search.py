@@ -5,16 +5,18 @@ Candidates are benchmarked by an *evaluator* — the lightweight perf model
 best spec string becomes the runtime knob.  Zero lines of user kernel code
 change across candidates.
 
-Throughput knobs (all ranking-preserving — results are identical to the
-plain serial sweep, only faster):
+:func:`search` is the sweep behind ``tune(strategy="exhaustive")`` and
+``tune(strategy="screened")``; it and the guided search both return a
+:class:`TuneReport`.  Throughput knobs (all ranking-preserving — results
+are identical to the plain serial sweep, only faster):
 
 * ``trace_cache=`` on the evaluators memoizes trace capture and switches
   the perfmodel to its vectorized reuse-distance replay;
-* ``search(..., workers=N)`` fans candidate evaluation out over forked
-  worker processes in deterministic chunks;
-* ``search(..., screen=cheap_evaluator)`` adds a successive-halving
-  stage: every candidate is scored by the cheap evaluator first and only
-  the top ``screen_keep`` fraction graduates to the full evaluator.
+* ``workers=N`` fans candidate evaluation out over forked worker
+  processes in deterministic chunks;
+* ``screen=cheap_evaluator`` adds a successive-halving stage: every
+  candidate is scored by the cheap evaluator first and only the top
+  ``screen_keep`` fraction graduates to the full evaluator.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ..simulator.engine import simulate
 from ..simulator.perfmodel import predict
 from .generator import Candidate
 
-__all__ = ["TuneOutcome", "SearchResult", "SearchFailure", "RacyCandidate",
+__all__ = ["TuneOutcome", "TuneReport", "SearchFailure", "RacyCandidate",
            "search", "perfmodel_evaluator", "engine_evaluator",
            "race_verifier"]
 
@@ -76,28 +78,54 @@ class RacyCandidate:
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    """Ranked tuning outcomes plus the cost of the search itself."""
+class TuneReport:
+    """Everything one tuning sweep did, with its budget split."""
 
-    outcomes: tuple           # sorted by score, best first
-    evaluated: int
-    skipped: int
+    strategy: str             # "exhaustive" | "screened" | "guided"
+    outcomes: tuple           # valid outcomes, sorted by score, best first
+    n_candidates: int         # pool size, before race verification
+    #: cheap scorings (learned model for "guided", perf-model screen for
+    #: "screened", 0 for "exhaustive")
+    n_model_evals: int
+    #: exact evaluator invocations that produced a valid score
+    n_exact_evals: int
+    #: candidates dropped by a screen/model without an exact evaluation
+    n_pruned: int
+    #: candidates skipped as invalid for these bounds (build/eval errors)
+    n_skipped: int
+    #: candidates excluded by race verification
+    n_racy: int
     wall_seconds: float
-    #: one :class:`SearchFailure` per skipped candidate (screen + full)
-    failures: tuple = ()
-    #: candidates dropped by the successive-halving screen stage
-    pruned: int = 0
-    #: candidates excluded by ``verify=`` (one :class:`RacyCandidate` each)
-    racy: tuple = ()
+    failures: tuple = ()      # SearchFailure per skipped candidate
+    racy: tuple = ()          # RacyCandidate per excluded candidate
+    #: guided only: edit-neighborhood rounds run
+    rounds: int = 0
+    #: guided only: rows the bootstrap corpus trained the cost model on
+    #: (0 when a pre-trained model was supplied)
+    trained_rows: int = 0
 
     @property
     def best(self) -> TuneOutcome:
         if not self.outcomes:
-            raise ValueError("search produced no valid outcomes")
+            raise ValueError("tuning produced no valid outcomes")
         return self.outcomes[0]
+
+    @property
+    def best_spec(self) -> str:
+        return self.best.candidate.spec_string
 
     def top(self, k: int) -> tuple:
         return self.outcomes[:k]
+
+    def summary(self) -> str:
+        head = (f"{self.strategy}: {self.n_candidates} candidates, "
+                f"{self.n_model_evals} model / {self.n_exact_evals} exact "
+                f"evals, {self.n_pruned} pruned, {self.n_skipped} skipped, "
+                f"{self.n_racy} racy, {self.wall_seconds:.2f}s")
+        if self.outcomes:
+            head += (f"\nbest: {self.best.candidate.label()} @ "
+                     f"{self.best.score:.1f}")
+        return head
 
 
 def race_verifier(base_specs, sim_body, num_threads: int | None = None):
@@ -162,20 +190,15 @@ def engine_evaluator(base_specs, sim_body, machine: MachineModel,
 
 def search(candidates, evaluator, top_k: int | None = None,
            workers: int | None = None, screen=None,
-           screen_keep: float = 0.5, verify=False) -> SearchResult:
+           screen_keep: float = 0.5, verify=False) -> TuneReport:
     """Evaluate candidates, skipping ones invalid for these loop bounds
     (imperfect blocking chains etc.) or whose evaluation fails at
     runtime, and rank by score.  A poisoned candidate is recorded as an
     invalid outcome — it never aborts the rest of the search; skipped
-    candidates are reported in ``result.failures``.
+    candidates are reported in ``report.failures``.
 
-    ``verify=True`` runs the race detector over every candidate before
-    any evaluation, using the ``.verifier`` the stock evaluators carry
-    (:func:`race_verifier` under the hood); racy candidates are excluded
-    from the ranking and surfaced in ``result.racy`` with their
-    :class:`~repro.verify.races.RaceReport` diagnostics — an auto-tuner
-    must never recommend a spec that wins by corrupting C.  Pass a
-    callable (candidate -> reports) to verify with custom logic.
+    ``verify=`` drops racy candidates before any evaluation; they land
+    in ``report.racy`` (see :func:`_verify_prefilter`).
 
     ``workers=N`` evaluates chunks of candidates in N forked processes;
     chunking is deterministic and results are merged in candidate order,
@@ -185,26 +208,24 @@ def search(candidates, evaluator, top_k: int | None = None,
     ``screen=`` enables successive halving: the (cheap) *screen*
     evaluator scores every candidate, only the best ``screen_keep``
     fraction is evaluated by the full *evaluator*, and the rest are
-    counted in ``result.pruned``.  Ties break on candidate order.
+    counted in ``report.n_pruned``.  Ties break on candidate order.
     """
     with _obs().span("search"):
         return _search(candidates, evaluator, top_k, workers, screen,
                        screen_keep, verify)
 
 
-def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
-            verify) -> SearchResult:
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if screen is not None and not 0.0 < screen_keep <= 1.0:
-        raise ValueError(f"screen_keep must be in (0, 1], got {screen_keep}")
-    t0 = time.perf_counter()
-    candidates = list(candidates)
-    failures: list = []
-    skipped = 0
-    pruned = 0
-    racy: list = []
-    verifier = None
+def _verify_prefilter(candidates, evaluator, verify) -> tuple:
+    """Split *candidates* into ``(clean, racy)`` before any evaluation.
+
+    ``verify=True`` runs the race detector through the ``.verifier`` the
+    stock evaluators carry (:func:`race_verifier` under the hood); a
+    callable (candidate -> reports) verifies with custom logic; anything
+    falsy keeps every candidate.  Racy candidates become
+    :class:`RacyCandidate`\\ s with their
+    :class:`~repro.verify.races.RaceReport` diagnostics — an auto-tuner
+    must never recommend a spec that wins by corrupting C.
+    """
     if verify is True:
         verifier = getattr(evaluator, "verifier", None)
         if verifier is None:
@@ -214,20 +235,37 @@ def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
                 "verify=<callable>")
     elif callable(verify):
         verifier = verify
-    if verifier is not None:
-        clean: list = []
-        for cand in candidates:
-            try:
-                reports = verifier(cand)
-            except (SpecError, ExecutionError):
-                # invalid for these bounds — let the evaluator record it
-                clean.append(cand)
-                continue
-            if reports:
-                racy.append(RacyCandidate(cand, tuple(reports)))
-            else:
-                clean.append(cand)
-        candidates = clean
+    else:
+        return candidates, ()
+    clean: list = []
+    racy: list = []
+    for cand in candidates:
+        try:
+            reports = verifier(cand)
+        except (SpecError, ExecutionError):
+            # invalid for these bounds — let the evaluator record it
+            clean.append(cand)
+            continue
+        if reports:
+            racy.append(RacyCandidate(cand, tuple(reports)))
+        else:
+            clean.append(cand)
+    return clean, tuple(racy)
+
+
+def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
+            verify) -> TuneReport:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if screen is not None and not 0.0 < screen_keep <= 1.0:
+        raise ValueError(f"screen_keep must be in (0, 1], got {screen_keep}")
+    t0 = time.perf_counter()
+    candidates = list(candidates)
+    n_candidates = len(candidates)
+    failures: list = []
+    skipped = 0
+    pruned = 0
+    candidates, racy = _verify_prefilter(candidates, evaluator, verify)
     obs = _obs()
     if screen is not None and len(candidates) > 1:
         with obs.span("screen", candidates=len(candidates)):
@@ -265,9 +303,13 @@ def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
                         ("pruned", pruned), ("racy", len(racy))):
             if n:
                 obs.inc("tuner_candidates", n, kind=kind)
-    return SearchResult(ranked, evaluated=evaluated, skipped=skipped,
-                        wall_seconds=wall, failures=tuple(failures),
-                        pruned=pruned, racy=tuple(racy))
+    return TuneReport(
+        strategy="exhaustive" if screen is None else "screened",
+        outcomes=ranked, n_candidates=n_candidates,
+        n_model_evals=0 if screen is None else evaluated + pruned,
+        n_exact_evals=evaluated, n_pruned=pruned, n_skipped=skipped,
+        n_racy=len(racy), wall_seconds=wall, failures=tuple(failures),
+        racy=racy)
 
 
 def _safe_eval(evaluator, candidate: Candidate) -> TuneOutcome:
@@ -307,7 +349,8 @@ def _evaluate_parallel(candidates, evaluator, workers):
     Chunks are fixed index ranges and results are concatenated in order,
     so the outcome list is identical to the serial sweep regardless of
     scheduling.  Caches populated inside workers (trace/eval caches) die
-    with them — warm the parent first if cache persistence matters.
+    with them; :func:`~repro.tuner.tune.tune` backfills its eval cache
+    from the returned outcomes.
     """
     try:
         ctx = multiprocessing.get_context("fork")

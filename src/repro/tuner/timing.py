@@ -5,14 +5,14 @@ A search's cost has two parts the paper compares stacks on: the
 the *projected benchmarking* cost — what actually running every
 candidate on hardware would take (kernel time x repetitions, which is
 what TVM's 2.3-500x longer tuning is made of).  :class:`TuningCost`
-derives both from a :class:`~repro.tuner.search.SearchResult`.
+derives both from a :class:`~repro.tuner.search.TuneReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .search import SearchResult
+from .search import TuneReport
 
 __all__ = ["TuningCost"]
 
@@ -30,30 +30,31 @@ class TuningCost:
     repeats: int
     #: candidates dropped by the successive-halving screen stage
     pruned: int = 0
-    #: per-skip diagnostics ("spec: error"), from ``SearchResult.failures``
+    #: per-skip diagnostics ("spec: error"), from ``TuneReport.failures``
     failure_reasons: tuple = ()
-    #: candidates excluded by ``search(verify=...)``
+    #: candidates excluded by ``tune(verify=...)``
     racy: int = 0
-    #: per-racy-candidate diagnostics, from ``SearchResult.racy`` (each a
+    #: per-racy-candidate diagnostics, from ``TuneReport.racy`` (each a
     #: "spec: RaceReport; ..." line)
     race_reports: tuple = ()
 
     @classmethod
-    def from_search(cls, result: SearchResult,
+    def from_search(cls, report: TuneReport,
                     repeats: int = 10) -> "TuningCost":
-        """Account a finished search; *repeats* is how many times an
+        """Account a finished sweep; *repeats* is how many times an
         offline benchmark would time each candidate."""
-        bench = sum(o.seconds for o in result.outcomes
+        bench = sum(o.seconds for o in report.outcomes
                     if o.valid and o.seconds != float("inf"))
         reasons = tuple(f"{f.candidate.spec_string}: {f.error}"
-                        for f in result.failures)
-        races = tuple(rc.describe() for rc in result.racy)
-        return cls(evaluated=result.evaluated, skipped=result.skipped,
-                   wall_seconds=result.wall_seconds,
+                        for f in report.failures)
+        races = tuple(rc.describe() for rc in report.racy)
+        return cls(evaluated=report.n_exact_evals,
+                   skipped=report.n_skipped,
+                   wall_seconds=report.wall_seconds,
                    projected_bench_seconds=bench * repeats,
-                   repeats=repeats, pruned=result.pruned,
+                   repeats=repeats, pruned=report.n_pruned,
                    failure_reasons=reasons,
-                   racy=len(result.racy), race_reports=races)
+                   racy=len(report.racy), race_reports=races)
 
     @property
     def per_candidate_seconds(self) -> float:

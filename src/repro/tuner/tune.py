@@ -1,21 +1,19 @@
 """One-call tuning: ``tune(kernel, machine=..., strategy=...)``.
 
-The classic surface was a three-call dance — ``generate_candidates`` →
-``perfmodel_evaluator``/``engine_evaluator`` → ``search`` — with the
-caller threading specs, bodies, and caches between them.  :func:`tune`
-collapses it: give it a kernel (anything exposing ``sim_body(machine)``,
-``flops`` and a :class:`~repro.core.threaded_loop.ThreadedLoop`
-attribute — every ``repro.kernels`` class qualifies) or a bare spec
-declaration list, pick a strategy, and get a :class:`TuneReport` back.
+The one public tuning entry point.  Give it a kernel (anything exposing
+``sim_body(machine)``, ``flops`` and a
+:class:`~repro.core.threaded_loop.ThreadedLoop` attribute — every
+``repro.kernels`` class qualifies) or a bare spec declaration list, pick
+a strategy, and get a :class:`~repro.tuner.search.TuneReport` back.  It
+enumerates the candidates, builds the evaluators, and runs the sweep.
 
 Strategies:
 
 * ``"exhaustive"`` — every enumerated candidate through the exact
-  evaluator; delegates verbatim to :func:`repro.tuner.search.search`, so
-  the ranking is bit-identical to the classic path;
-* ``"screened"`` — successive halving: a cheap perf-model pass scores
-  everything, only the best ``screen_keep`` fraction reaches the exact
-  evaluator;
+  evaluator (:func:`repro.tuner.search.search`);
+* ``"screened"`` — successive halving in the same sweep: a cheap
+  perf-model pass scores everything, only the best ``screen_keep``
+  fraction reaches the exact evaluator;
 * ``"guided"`` — the learned path (:func:`repro.tuner.guided.
   guided_search`): ridge cost model screens the pool and a beam search
   over spec-edit actions spends exact evaluations only on survivors.
@@ -36,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Protocol, runtime_checkable
 
-from ..core.errors import ExecutionError, SpecError
 from ..core.loop_spec import LoopSpecs
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
@@ -47,7 +44,7 @@ from .constraints import TuningConstraints
 from .features import FeatureExtractor
 from .generator import generate_candidates
 from .guided import guided_search
-from .search import (RacyCandidate, TuneOutcome, engine_evaluator,
+from .search import (TuneOutcome, TuneReport, engine_evaluator,
                      perfmodel_evaluator, search)
 
 __all__ = ["Evaluator", "TuneReport", "tune"]
@@ -62,52 +59,6 @@ class Evaluator(Protocol):
     ``.verifier`` used by ``verify=True``; custom evaluators may too."""
 
     def __call__(self, candidate) -> TuneOutcome: ...
-
-
-@dataclass(frozen=True)
-class TuneReport:
-    """Everything one :func:`tune` call did, with its budget split."""
-
-    strategy: str
-    outcomes: tuple           # valid outcomes, sorted by score, best first
-    n_candidates: int         # enumerated pool size
-    #: cheap scorings (learned model for "guided", perf-model screen for
-    #: "screened", 0 for "exhaustive")
-    n_model_evals: int
-    #: exact evaluator invocations that produced a valid score
-    n_exact_evals: int
-    #: candidates dropped by a screen/model without an exact evaluation
-    n_pruned: int
-    #: candidates skipped as invalid for these bounds (build/eval errors)
-    n_skipped: int
-    #: candidates excluded by race verification
-    n_racy: int
-    wall_seconds: float
-    failures: tuple = ()      # SearchFailure per skipped candidate
-    racy: tuple = ()          # RacyCandidate per excluded candidate
-
-    @property
-    def best(self) -> TuneOutcome:
-        if not self.outcomes:
-            raise ValueError("tuning produced no valid outcomes")
-        return self.outcomes[0]
-
-    @property
-    def best_spec(self) -> str:
-        return self.best.candidate.spec_string
-
-    def top(self, k: int) -> tuple:
-        return self.outcomes[:k]
-
-    def summary(self) -> str:
-        head = (f"{self.strategy}: {self.n_candidates} candidates, "
-                f"{self.n_model_evals} model / {self.n_exact_evals} exact "
-                f"evals, {self.n_pruned} pruned, {self.n_skipped} skipped, "
-                f"{self.n_racy} racy, {self.wall_seconds:.2f}s")
-        if self.outcomes:
-            head += (f"\nbest: {self.best.candidate.label()} @ "
-                     f"{self.best.score:.1f}")
-        return head
 
 
 def _kernel_loop(kernel) -> ThreadedLoop:
@@ -171,7 +122,8 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
         :class:`~repro.tuner.model.RidgeCostModel` skips the bootstrap).
     trace_cache / eval_cache / workload_sig:
         Session caches.  *eval_cache* warm-starts scoring and absorbs
-        new results; it needs *workload_sig* to key entries.
+        every valid outcome, also those scored in forked *workers*; it
+        needs *workload_sig* to key entries.
     """
     t0 = time.perf_counter()
     if machine is None:
@@ -209,7 +161,6 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     if constraints is None:
         constraints = _default_constraints(base_specs)
     if budget is not None and constraints.max_candidates != budget:
-        from dataclasses import replace
         constraints = replace(constraints, max_candidates=budget)
     if candidates is None:
         candidates = generate_candidates(base_specs, constraints)
@@ -244,69 +195,23 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     with _obs().span("tune", strategy=strategy,
                      candidates=len(candidates)):
         if strategy == "guided":
-            report = _tune_guided(
-                candidates, exact, base_specs, constraints, machine,
-                num_threads, verify, model, exact_budget, beam_width,
-                max_rounds, top_k, t0)
+            extractor = FeatureExtractor(base_specs=base_specs,
+                                         machine=machine,
+                                         num_threads=num_threads)
+            report = guided_search(
+                candidates, exact, extractor, base_specs, constraints,
+                model=model, exact_budget=exact_budget,
+                beam_width=beam_width, max_rounds=max_rounds, top_k=top_k,
+                verify=verify)
         else:
-            screen = None
-            if strategy == "screened":
-                # cheap first stage: the perf model with thread sampling
-                screen = make_evaluator("perfmodel")
-            result = search(candidates, exact, top_k=top_k,
+            # "screened": the perf model with thread sampling scores first
+            screen = (make_evaluator("perfmodel")
+                      if strategy == "screened" else None)
+            report = search(candidates, exact, top_k=top_k,
                             workers=workers, screen=screen,
                             screen_keep=screen_keep, verify=verify)
-            n_model = (result.evaluated + result.pruned
-                       if strategy == "screened" else 0)
-            report = TuneReport(
-                strategy=strategy, outcomes=result.outcomes,
-                n_candidates=len(candidates), n_model_evals=n_model,
-                n_exact_evals=result.evaluated, n_pruned=result.pruned,
-                n_skipped=result.skipped, n_racy=len(result.racy),
-                wall_seconds=time.perf_counter() - t0,
-                failures=result.failures, racy=result.racy)
-    return report
-
-
-def _tune_guided(candidates, exact, base_specs, constraints, machine,
-                 num_threads, verify, model, exact_budget, beam_width,
-                 max_rounds, top_k, t0) -> TuneReport:
-    racy: list = []
-    verifier = None
-    if verify is True:
-        verifier = getattr(exact, "verifier", None)
-        if verifier is None:
-            raise ValueError(
-                "verify=True requires an evaluator carrying a .verifier "
-                "or an explicit verify=<callable>")
-    elif callable(verify):
-        verifier = verify
-    if verifier is not None:
-        clean = []
-        for cand in candidates:
-            try:
-                reports = verifier(cand)
-            except (SpecError, ExecutionError):
-                clean.append(cand)
-                continue
-            if reports:
-                racy.append(RacyCandidate(cand, tuple(reports)))
-            else:
-                clean.append(cand)
-        candidates = clean
-
-    extractor = FeatureExtractor(base_specs=base_specs, machine=machine,
-                                 num_threads=num_threads)
-    result = guided_search(candidates, exact, extractor, base_specs,
-                           constraints, model=model,
-                           exact_budget=exact_budget,
-                           beam_width=beam_width, max_rounds=max_rounds,
-                           top_k=top_k)
-    return TuneReport(
-        strategy="guided", outcomes=result.outcomes,
-        n_candidates=len(candidates) + len(racy),
-        n_model_evals=result.n_model_evals,
-        n_exact_evals=result.n_exact_evals, n_pruned=result.n_pruned,
-        n_skipped=len(result.failures), n_racy=len(racy),
-        wall_seconds=time.perf_counter() - t0,
-        failures=result.failures, racy=tuple(racy))
+    if eval_cache is not None:
+        # stores made by forked workers die with them; the outcomes
+        # come back, so record them in the parent
+        eval_cache.record(report, machine, workload_sig)
+    return replace(report, wall_seconds=time.perf_counter() - t0)

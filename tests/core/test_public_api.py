@@ -2,17 +2,18 @@
 
 ``repro.__all__`` is a contract: additions and removals must be
 deliberate (update the snapshot here *and* the DESIGN.md migration
-notes).  The deprecation shims for the ``nthreads`` -> ``num_threads``
-rename are exercised from *outside* the package — inside it they are
-errors (see ``filterwarnings`` in pyproject.toml).
+notes).  The 1.0 deprecation shims (``nthreads=``, the top-level
+``search``/``generate_candidates``) were removed in 1.1; the old
+spellings must stay gone.
 """
 
+import importlib
+import inspect
 import warnings
 
 import pytest
 
 import repro
-from repro import ParlooperDeprecationWarning
 from repro.platform import SPR
 from repro.serve import ServeCostModel
 from repro.tpp.dtypes import DType
@@ -23,7 +24,6 @@ from repro.workloads.sparse_bert import sparse_bert_inference
 API_SNAPSHOT = [
     # facade
     "Session", "ObsConfig", "default_session",
-    "ParlooperDeprecationWarning",
     # core
     "ThreadedLoop", "LoopSpecs", "SpecError",
     # kernels
@@ -41,7 +41,6 @@ API_SNAPSHOT = [
     "FleetSimulator",
     # tuner
     "TuningConstraints", "TuneReport", "tune",
-    "generate_candidates", "search",
     # verify
     "verify_nest", "detect_races", "check_coverage", "run_fuzz",
     "VerificationError",
@@ -59,6 +58,12 @@ class TestAllSnapshot:
 
     def test_no_duplicates(self):
         assert len(repro.__all__) == len(set(repro.__all__))
+
+    def test_deprecation_layer_is_gone(self):
+        assert not hasattr(repro, "ParlooperDeprecationWarning")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro._compat")
+        assert repro.__version__ == "1.1.0"
 
 
 class TestSessionFacade:
@@ -82,65 +87,51 @@ class TestSessionFacade:
 
 
 class TestNthreadsShims:
-    """Old ``nthreads=`` spellings warn once and keep working."""
+    """The ``nthreads=`` shims were removed in 1.1: the old spelling is
+    an unknown keyword everywhere, and ``num_threads`` never warns."""
 
     def test_opcostmodel_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="nthreads.*deprecated"):
-            cost = OpCostModel(SPR, nthreads=8)
-        assert cost.num_threads == 8
+        with pytest.raises(TypeError, match="nthreads"):
+            OpCostModel(SPR, nthreads=8)
 
     def test_opcostmodel_property_alias(self):
         cost = OpCostModel(SPR, num_threads=8)
-        with pytest.warns(ParlooperDeprecationWarning):
-            assert cost.nthreads == 8
-        with pytest.warns(ParlooperDeprecationWarning):
-            cost.nthreads = 4
-        assert cost.num_threads == 4
+        assert not hasattr(cost, "nthreads")
+        assert cost.num_threads == 8
 
     def test_servecostmodel_kwarg(self):
         tiny = LlmConfig("tiny", layers=2, hidden=128, heads=4,
                          intermediate=512, vocab=512)
-        with pytest.warns(ParlooperDeprecationWarning):
-            cost = ServeCostModel(SPR, config=tiny, dtype=DType.BF16,
-                                  nthreads=8)
-        assert cost.num_threads == 8
+        with pytest.raises(TypeError, match="nthreads"):
+            ServeCostModel(SPR, config=tiny, dtype=DType.BF16, nthreads=8)
 
     def test_bert_inference_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning):
-            old = bert_inference_performance(BERT_BASE, SPR, nthreads=8)
-        new = bert_inference_performance(BERT_BASE, SPR, num_threads=8)
-        assert old == new
+        with pytest.raises(TypeError, match="nthreads"):
+            bert_inference_performance(BERT_BASE, SPR, nthreads=8)
 
     def test_sparse_bert_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning):
-            old = sparse_bert_inference(BERT_BASE, SPR, sparsity=0.7,
-                                        nthreads=8)
-        new = sparse_bert_inference(BERT_BASE, SPR, sparsity=0.7,
-                                    num_threads=8)
-        assert old == new
+        with pytest.raises(TypeError, match="nthreads"):
+            sparse_bert_inference(BERT_BASE, SPR, sparsity=0.7, nthreads=8)
 
     def test_both_spellings_is_a_type_error(self):
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError):
             OpCostModel(SPR, nthreads=8, num_threads=8)
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError):
             bert_inference_performance(BERT_BASE, SPR, nthreads=8,
                                        num_threads=8)
 
     def test_new_spelling_never_warns(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             OpCostModel(SPR, num_threads=8)
             bert_inference_performance(BERT_BASE, SPR, num_threads=8)
 
 
 class TestTunerShims:
-    """The classic three-call tuning dance warns; ``tune()`` replaces it.
-
-    Only the *top-level* bindings are deprecated — the low-level engine
-    stays silent as ``repro.tuner.generate_candidates`` /
-    ``repro.tuner.search`` for code that composes its own sweeps.
-    """
+    """The top-level tuning shims were removed in 1.1: ``tune()`` is the
+    one public tuning entry point.  Enumeration stays public as
+    ``repro.tuner.generate_candidates``; the sweep behind ``tune()``
+    lives on as ``repro.tuner.search.search``."""
 
     CONSTRAINTS = repro.TuningConstraints(
         max_occurrences={"a": 1, "b": 1, "c": 1},
@@ -152,38 +143,35 @@ class TestTunerShims:
         return g, list(generate_candidates(g.gemm_loop.specs,
                                            self.CONSTRAINTS))
 
-    def test_top_level_generate_candidates_warns(self):
-        g = repro.ParlooperGemm(128, 128, 128, num_threads=4)
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="generate_candidates.*deprecated"):
-            cands = repro.generate_candidates(g.gemm_loop.specs,
-                                              self.CONSTRAINTS)
-        assert list(cands)
+    def test_top_level_generate_candidates_is_gone(self):
+        assert not hasattr(repro, "generate_candidates")
+        assert "generate_candidates" in repro.tuner.__all__
 
-    def test_top_level_search_warns_and_matches_engine(self):
-        from repro.tuner import TuneOutcome
-        from repro.tuner import search as engine_search
-        _, cands = self._pool()
-        evaluator = lambda c: TuneOutcome(c, float(len(c.spec_string)), 1.0)
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="repro.search.*deprecated"):
-            old = repro.search(cands, evaluator)
-        new = engine_search(cands, evaluator)
-        assert [o.candidate.spec_string for o in old.outcomes] == \
-            [o.candidate.spec_string for o in new.outcomes]
+    def test_top_level_search_is_gone(self):
+        import repro.session
+        assert not hasattr(repro, "search")
+        assert not hasattr(repro.session, "search")
+        assert not hasattr(repro.Session, "search")
+        for name in ("search", "guided_search", "SearchResult",
+                     "GuidedResult"):
+            assert name not in repro.tuner.__all__, name
+        for name in ("guided_search", "SearchResult", "GuidedResult"):
+            assert not hasattr(repro.tuner, name), name
+        # repro.tuner.search names the submodule, not the sweep function
+        assert inspect.ismodule(repro.tuner.search)
 
     def test_tuner_module_spellings_never_warn(self):
         from repro.tuner import TuneOutcome
-        from repro.tuner import search as engine_search
+        from repro.tuner.search import search
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             _, cands = self._pool()
-            engine_search(cands, lambda c: TuneOutcome(c, 1.0, 1.0))
+            search(cands, lambda c: TuneOutcome(c, 1.0, 1.0))
 
     def test_session_tune_never_warns(self):
         g = repro.ParlooperGemm(128, 128, 128, num_threads=4)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             report = repro.Session(machine=SPR).tune(
                 g, constraints=self.CONSTRAINTS)
         assert report.strategy == "exhaustive"

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core import LoopSpecs, ThreadedLoop
+from repro.kernels import ParlooperGemm
 from repro.platform import ADL, GVT3, SPR, ZEN4
+from repro.session import Session
 from repro.simulator import (Access, BodyEvent, CacheHierarchy, CompiledTrace,
                              ThreadTrace, TraceCache, brgemm_event,
                              compile_trace, hit_levels, predict, simulate)
@@ -203,6 +205,33 @@ class TestFastPredictBitIdentity:
         b = predict(loop, weird, SPR, trace_cache=TraceCache())
         assert a.seconds == b.seconds
         assert a.per_thread_seconds == b.per_thread_seconds
+
+
+class TestLruFallbackCounter:
+    """Every fall back from the compiled replay to the LRU oracle is
+    counted on ``lru_fallback{model="perfmodel"}``."""
+
+    def test_precondition_break_counts_once(self):
+        specs = [LoopSpecs(0, 2, 1), LoopSpecs(0, 2, 1)]
+
+        def changing(ind):
+            # one key whose footprint changes mid-trace
+            return BodyEvent(accesses=(
+                Access(("x",), 64, footprint=64 * (1 + sum(ind))),),
+                flops=1.0)
+
+        sess = Session(machine=SPR)
+        loop = ThreadedLoop(specs, "ab", num_threads=1)
+        sess.predict(loop, changing)
+        assert sess.metrics.value("lru_fallback", model="perfmodel") == 1
+
+    def test_kernel_tune_never_falls_back(self):
+        sess = Session(machine=SPR)
+        report = sess.tune(ParlooperGemm(256, 256, 256, num_threads=4),
+                           budget=8)
+        assert report.n_exact_evals > 0
+        assert sess.metrics.value("trace_capture", path="builder") > 0
+        assert sess.metrics.value("lru_fallback", model="perfmodel") == 0
 
 
 class TestCompiledTrace:

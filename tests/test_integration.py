@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from repro import (DType, LoopSpecs, ParlooperGemm, SPR, ThreadedLoop,
-                   TuningConstraints, ZEN4, generate_candidates, predict,
-                   search, simulate)
+                   TuningConstraints, ZEN4, predict, simulate, tune)
 from repro.simulator import brgemm_event
-from repro.tuner import engine_evaluator, perfmodel_evaluator
 
 
 class TestTuneThenRun:
@@ -23,7 +21,6 @@ class TestTuneThenRun:
         cons = TuningConstraints(max_occurrences={"a": 1, "b": 2, "c": 2},
                                  parallelizable=frozenset({"b", "c"}),
                                  max_candidates=16)
-        cands = generate_candidates(specs, cons)
 
         def body(ind):
             ik, im, inn = ind
@@ -33,8 +30,8 @@ class TestTuneThenRun:
                                 ("C", inn, im), beta=1.0,
                                 c_first_touch=True)
 
-        res = search(cands, perfmodel_evaluator(
-            specs, body, ZEN4, num_threads=8, total_flops=2.0 * M * N * K))
+        res = tune(specs, machine=ZEN4, sim_body=body, constraints=cons,
+                   num_threads=8, total_flops=2.0 * M * N * K)
         best = res.best.candidate
 
         kernel = ParlooperGemm(M, N, K, bm, bn, bk,
@@ -77,7 +74,6 @@ class TestTuneThenRun:
         cons = TuningConstraints(max_occurrences={"a": 1, "b": 1, "c": 1},
                                  parallelizable=frozenset({"b", "c"}),
                                  max_candidates=8)
-        cands = generate_candidates(specs, cons)
 
         def body(ind):
             ik, im, inn = ind
@@ -87,8 +83,8 @@ class TestTuneThenRun:
                                 ("C", inn, im), beta=1.0,
                                 c_first_touch=True)
 
-        res = search(cands, engine_evaluator(specs, body, ZEN4,
-                                             num_threads=8), top_k=3)
+        res = tune(specs, machine=ZEN4, sim_body=body, constraints=cons,
+                   evaluator="engine", num_threads=8, top_k=3)
         assert len(res.outcomes) == 3
         assert res.best.score >= res.outcomes[-1].score
 

@@ -2,15 +2,15 @@
 
 A ``TuneOutcome``/``SearchFailure`` is all that returns from a forked
 worker; the exception object dies with the process.  The formatted
-traceback is captured at raise time so ``result.failures`` keeps its
+traceback is captured at raise time so ``report.failures`` keeps its
 diagnostics on every path.
 """
 
 import pytest
 
 from repro.core import LoopSpecs, SpecError
-from repro.tuner import (TuneOutcome, TuningConstraints,
-                         generate_candidates, search)
+from repro.tuner import TuneOutcome, TuningConstraints, generate_candidates
+from repro.tuner.search import search
 
 SPECS = (LoopSpecs(0, 8, 8), LoopSpecs(0, 16, 1), LoopSpecs(0, 16, 1))
 CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
@@ -27,7 +27,7 @@ class TestFailureTraceback:
     def test_serial_failures_carry_formatted_traceback(self):
         pool = generate_candidates(SPECS, CONS)
         result = search(pool, exploding_evaluator)
-        assert result.skipped == len(pool)
+        assert result.n_skipped == len(pool)
         for failure in result.failures:
             assert "kaboom for" in failure.error
             assert "Traceback (most recent call last)" in failure.traceback

@@ -7,8 +7,10 @@ from repro.core.plan import build_plan
 from repro.platform import SPR, ZEN4
 from repro.simulator.memo import TraceCache
 from repro.tuner import (Candidate, FeatureExtractor, TuningConstraints,
-                         edit_neighbors, generate_candidates, guided_search,
-                         perfmodel_evaluator, search)
+                         edit_neighbors, generate_candidates,
+                         perfmodel_evaluator)
+from repro.tuner.guided import guided_search
+from repro.tuner.search import search
 
 CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
                          max_candidates=80)

@@ -1,5 +1,6 @@
-"""Parallel + screened search must rank exactly like the serial sweep,
-and EvalCache must warm-start it losslessly."""
+"""Parallel + screened sweeps must rank exactly like the serial sweep,
+and EvalCache must warm-start it losslessly.  Screening is reached
+through ``tune(strategy="screened")``."""
 
 import json
 import multiprocessing
@@ -13,7 +14,8 @@ from repro.simulator import TraceCache, brgemm_event
 from repro.tpp.dtypes import DType
 from repro.tuner import (Candidate, EvalCache, TuningConstraints,
                          engine_evaluator, generate_candidates,
-                         perfmodel_evaluator, search)
+                         perfmodel_evaluator, tune)
+from repro.tuner.search import search
 
 SPECS = [LoopSpecs(0, 8, 8), LoopSpecs(0, 16, 1), LoopSpecs(0, 16, 1)]
 
@@ -55,8 +57,8 @@ class TestWorkersDeterminism:
         serial = search(cands, ev, workers=1)
         par = search(cands, ev, workers=4)
         assert _outcome_tuples(par) == _outcome_tuples(serial)
-        assert par.evaluated == serial.evaluated
-        assert par.skipped == serial.skipped
+        assert par.n_exact_evals == serial.n_exact_evals
+        assert par.n_skipped == serial.n_skipped
         assert par.best.candidate.label() == serial.best.candidate.label()
 
     def test_engine_workers_match_serial(self):
@@ -83,7 +85,7 @@ class TestWorkersDeterminism:
         mixed = cands + [bad]
         serial = search(mixed, evaluator, workers=1)
         par = search(mixed, evaluator, workers=3)
-        assert serial.skipped == par.skipped == 2
+        assert serial.n_skipped == par.n_skipped == 2
         assert _failure_tuples(par) == _failure_tuples(serial)
         assert {f.candidate.label() for f in par.failures} == \
                {poisoned_label, bad.label()}
@@ -95,6 +97,12 @@ class TestWorkersDeterminism:
             search(_candidates(budget=2), lambda c: None, workers=0)
 
 
+def _tune(cands, **kw):
+    """tune() over an explicit pool of the bare ZEN4 declaration."""
+    return tune(SPECS, machine=ZEN4, sim_body=_sim_body(ZEN4, DType.F32),
+                candidates=cands, num_threads=16, **kw)
+
+
 class TestScreening:
     def test_screen_keeps_ranking_of_survivors(self):
         cands = _candidates()
@@ -102,14 +110,14 @@ class TestScreening:
         full_ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
                                       ZEN4, num_threads=16,
                                       trace_cache=cache)
-        screen_ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
-                                        ZEN4, num_threads=16,
-                                        sample_threads=1, trace_cache=cache)
-        full = search(cands, full_ev)
-        screened = search(cands, full_ev, screen=screen_ev, screen_keep=0.5)
-        assert screened.pruned > 0
-        assert screened.evaluated + screened.pruned + screened.skipped \
-            == len(cands)
+        full = _tune(cands, evaluator=full_ev)
+        # the screen stage is the perf model sampling one thread
+        screened = _tune(cands, evaluator=full_ev, strategy="screened",
+                         sample_threads=1, screen_keep=0.5,
+                         trace_cache=cache)
+        assert screened.n_pruned > 0
+        assert screened.n_exact_evals + screened.n_pruned \
+            + screened.n_skipped == len(cands)
         # survivors must carry their full-evaluator scores
         full_scores = {o.candidate.label(): o.score for o in full.outcomes}
         for o in screened.outcomes:
@@ -117,19 +125,17 @@ class TestScreening:
 
     def test_screen_is_deterministic(self):
         cands = _candidates()
-        ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32), ZEN4,
-                                 num_threads=16, trace_cache=TraceCache())
-        a = search(cands, ev, screen=ev, screen_keep=0.25)
-        b = search(cands, ev, screen=ev, screen_keep=0.25)
+        a = _tune(cands, strategy="screened", screen_keep=0.25,
+                  trace_cache=TraceCache())
+        b = _tune(cands, strategy="screened", screen_keep=0.25,
+                  trace_cache=TraceCache())
         assert _outcome_tuples(a) == _outcome_tuples(b)
-        assert a.pruned == b.pruned
+        assert a.n_pruned == b.n_pruned
 
     def test_screen_invalid_candidates_become_failures(self):
         bad = Candidate("aBbc", ((), (3,), ()))
-        ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32), ZEN4,
-                                 num_threads=16)
-        res = search(_candidates(budget=4) + [bad], ev, screen=ev)
-        assert res.skipped == 1
+        res = _tune(_candidates(budget=4) + [bad], strategy="screened")
+        assert res.n_skipped == 1
         assert [f.candidate.label() for f in res.failures] == [bad.label()]
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.tuner import TuningCost
-from repro.tuner.search import SearchResult, TuneOutcome
+from repro.tuner.search import TuneOutcome, TuneReport
 
 
 def outcome(seconds, valid=True):
@@ -12,9 +12,10 @@ def outcome(seconds, valid=True):
 
 
 def result(outcomes, wall=1.0, skipped=0):
-    return SearchResult(outcomes=tuple(outcomes),
-                        evaluated=len(outcomes), skipped=skipped,
-                        wall_seconds=wall)
+    return TuneReport(strategy="exhaustive", outcomes=tuple(outcomes),
+                      n_candidates=len(outcomes) + skipped, n_model_evals=0,
+                      n_exact_evals=len(outcomes), n_pruned=0,
+                      n_skipped=skipped, n_racy=0, wall_seconds=wall)
 
 
 class TestFromSearch:

@@ -1,4 +1,9 @@
-"""The one-call ``tune()`` API and its parity with the classic path."""
+"""The one-call ``tune()`` API: the one public tuning entry point, its
+parity with the underlying sweep, and its pinned rankings."""
+
+import hashlib
+import json
+import multiprocessing
 
 import pytest
 
@@ -9,7 +14,8 @@ from repro.platform import SPR
 from repro.simulator.memo import TraceCache
 from repro.tuner import (EvalCache, Evaluator, TuneOutcome, TuneReport,
                          TuningConstraints, generate_candidates,
-                         perfmodel_evaluator, search, tune)
+                         perfmodel_evaluator, tune)
+from repro.tuner.search import search
 
 CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
                          max_candidates=60)
@@ -21,7 +27,7 @@ def gemm(num_threads=16):
 
 class TestExhaustiveParity:
     def test_ranking_bit_identical_to_classic_path(self):
-        """strategy="exhaustive" delegates verbatim to search()."""
+        """strategy="exhaustive" is the search() sweep, verbatim."""
         g = gemm()
         base = tuple(g.gemm_loop.specs)
         pool = generate_candidates(base, CONS)
@@ -37,7 +43,7 @@ class TestExhaustiveParity:
               o.seconds) for o in classic.outcomes]
         assert report.strategy == "exhaustive"
         assert report.n_model_evals == 0
-        assert report.n_exact_evals == classic.evaluated
+        assert report.n_exact_evals == classic.n_exact_evals
 
     def test_kernel_protocol_resolves_everything(self):
         report = tune(gemm(), machine=SPR, constraints=CONS, budget=12)
@@ -115,6 +121,39 @@ class TestStrategies:
         assert "exact" in text and "candidates" in text and "best" in text
 
 
+def _ranking_digest(report) -> str:
+    rows = [(o.candidate.label(), repr(o.score)) for o in report.outcomes]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+class TestPinnedRankings:
+    """Rankings and budget counters of every strategy on this pool, as
+    the 1.0 tuner (separate search/guided result types) produced them."""
+
+    @pytest.mark.parametrize("strategy,kw,counts,digest", [
+        ("exhaustive", {}, (0, 60, 0), "e6f90af8cee03285"),
+        ("screened", {}, (60, 30, 30), "b5681260f379ddb1"),
+        ("screened", {"screen_keep": 0.25}, (60, 15, 45),
+         "6365bd351c35aaf4"),
+        ("guided", {}, (71, 16, 44), "03d8d730a1934e6b"),
+    ])
+    def test_matches_pinned(self, strategy, kw, counts, digest):
+        report = tune(gemm(), machine=SPR, constraints=CONS,
+                      strategy=strategy, trace_cache=TraceCache(), **kw)
+        assert (report.n_model_evals, report.n_exact_evals,
+                report.n_pruned) == counts
+        assert (report.n_candidates, report.n_skipped, report.n_racy) == \
+            (60, 0, 0)
+        assert _ranking_digest(report) == digest
+
+    def test_guided_reports_its_rounds(self):
+        guided = tune(gemm(), machine=SPR, constraints=CONS,
+                      strategy="guided", trace_cache=TraceCache())
+        assert guided.rounds > 0 and guided.trained_rows > 0
+        exhaustive = tune(gemm(), machine=SPR, constraints=CONS, budget=8)
+        assert exhaustive.rounds == exhaustive.trained_rows == 0
+
+
 class TestEvalCacheIntegration:
     def test_eval_cache_needs_workload_sig(self):
         with pytest.raises(ValueError, match="workload_sig"):
@@ -133,6 +172,19 @@ class TestEvalCacheIntegration:
         assert cache.hits > hits_before
         assert [o.score for o in second.outcomes] == \
             [o.score for o in first.outcomes]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork start method")
+    def test_parallel_workers_fill_the_eval_cache(self):
+        """Stores made in forked workers die with them; tune() records
+        the returned outcomes in the parent's cache."""
+        sess = repro.Session(machine=SPR)
+        report = sess.tune(ParlooperGemm(256, 256, 256, num_threads=4),
+                           constraints=CONS, budget=12, workload_sig="wl",
+                           workers=2)
+        assert len(report.outcomes) == 12
+        assert len(sess.eval_cache) == len(report.outcomes)
 
 
 class TestSessionSurface:

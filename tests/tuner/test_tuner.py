@@ -8,10 +8,10 @@ from repro.core import ExecutionError, LoopSpecs, SpecError, ThreadedLoop
 from repro.platform import SPR, ZEN4
 from repro.simulator import brgemm_event
 from repro.tpp.dtypes import DType
-from repro.tuner import (Candidate, SearchResult, TuningConstraints,
-                         engine_evaluator, generate_candidates,
-                         perfmodel_evaluator, prefix_products, prime_factors,
-                         search)
+from repro.tuner import (Candidate, TuningConstraints, engine_evaluator,
+                         generate_candidates, perfmodel_evaluator,
+                         prefix_products, prime_factors)
+from repro.tuner.search import search
 
 
 class TestPrimeMath:
@@ -168,13 +168,13 @@ class TestSearch:
                                                 ZEN4, num_threads=16))
         scores = [o.score for o in res.outcomes]
         assert scores == sorted(scores, reverse=True)
-        assert res.evaluated == 20
+        assert res.n_exact_evals == 20
 
     def test_invalid_candidates_skipped(self):
         bad = Candidate("aBbc", ((), (3,), ()))  # 3 does not divide 16
         res = search([bad], perfmodel_evaluator(
             SPECS, _sim_body(ZEN4, DType.F32), ZEN4, num_threads=4))
-        assert res.skipped == 1
+        assert res.n_skipped == 1
         with pytest.raises(ValueError):
             res.best
 
@@ -194,8 +194,8 @@ class TestSearch:
             return inner(cand)
 
         res = search(cands, evaluator)
-        assert res.skipped == 1
-        assert res.evaluated == len(cands) - 1
+        assert res.n_skipped == 1
+        assert res.n_exact_evals == len(cands) - 1
         assert res.best.valid
         assert poisoned.label() not in [o.candidate.label()
                                         for o in res.outcomes]
@@ -275,7 +275,7 @@ class TestVerifiedSearch:
         cands, ev, _ = self._setup()
         res = search(cands, ev, verify=False)
         assert res.racy == ()
-        assert res.evaluated == len(cands)
+        assert res.n_exact_evals == len(cands)
 
     def test_verified_ranking_unchanged_for_clean_candidates(self):
         cands, ev, _ = self._setup()
