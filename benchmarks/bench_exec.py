@@ -95,7 +95,7 @@ def test_batched_exec_speedup(benchmark):
     gemm_exact = bool(np.array_equal(C_i, C_b))
     gemm_traces = _digests_match(
         kern_b.gemm_loop, kern_b.sim_body(SPR),
-        gemm_trace_builder(kern_b, SPR, kern_b._conflict_scale()))
+        gemm_trace_builder(kern_b, SPR))
     table.add(f"GEMM {d}^3 (f32, 32^3 blocks, k_step=4)", t_interp,
               t_batched, f"{gemm_speedup:.1f}x", str(gemm_exact),
               "equal" if gemm_traces else "DIVERGED")
@@ -113,7 +113,7 @@ def test_batched_exec_speedup(benchmark):
     mlp_exact = bool(np.array_equal(mlp_i.forward(x), mlp_b.forward(x)))
     mlp_traces = all(
         _digests_match(mlp_b.layers[l].gemm.gemm_loop,
-                       mlp_b._layer_sim_body(l, SPR),
+                       mlp_b.layer_declaration(l, SPR).body,
                        mlp_layer_trace_builder(mlp_b, l, SPR))
         for l in range(len(mlp_b.layers)))
     table.add(f"MLP [{w}]x4, N=512 (bf16, 16^3 blocks, bias+relu)",

@@ -66,7 +66,7 @@ def test_gemm_predict_disabled_obs_overhead():
         # fresh session per run: cold caches, disabled instrumentation
         sess = Session(machine=SPR, obs=ObsConfig.disabled())
         g.predict(SPR, session=sess)
-        g._sim_bodies.clear()
+        g._decls.clear()
 
     base = _timed(classic, GEMM_REPEATS)
     cand = _timed(via_session, GEMM_REPEATS)

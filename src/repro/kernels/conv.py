@@ -30,15 +30,16 @@ from ..core.inject import active_injector
 from ..core.loop_spec import LoopSpecs
 from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
-from ..simulator.cost import brgemm_event
-from ..simulator.engine import SimResult
+from ..simulator.cost import brgemm_fpc
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
 from ..tpp.unary import ZeroTPP
 from .abft import resolve_abft
+from .access import DeclaredKernel, Declaration, Group, Term
 from .common import as_dtype, divisible
 
-__all__ = ["ConvSpec", "ParlooperConv", "DEFAULT_CONV_SPEC"]
+__all__ = ["ConvSpec", "ParlooperConv", "conv_accesses",
+           "DEFAULT_CONV_SPEC"]
 
 #: untuned default: parallelize (minibatch x out-channel blocks)
 DEFAULT_CONV_SPEC = "ACbdefg"
@@ -71,7 +72,34 @@ class ConvSpec:
             * self.R * self.S
 
 
-class ParlooperConv:
+def conv_accesses(kern, machine: MachineModel):
+    """The :class:`Declaration` of one conv body ``(n, c, k, h, w, r,
+    s)``: a BRGEMM reading an input row slice per (c-block, filter row)
+    and a weight block per (c-block, r, s), then reading (unless first c
+    step) and writing the output slice."""
+    sp, ws, bc, bk = kern.spec, kern.w_step, kern.bc, kern.bk
+    cs, R, S, nb = kern.c_step, sp.R, sp.S, kern.dtype.nbytes
+    # gather orders: input (c, r), weights (c, r, s), c outermost
+    c_in, r_in = ([c for c in range(cs) for _ in range(R)],
+                  [r for _ in range(cs) for r in range(R)])
+    c_wt, r_wt, s_wt = zip(*[(c, r, s) for c in range(cs)
+                             for r in range(R) for s in range(S)])
+    out = (Term(0), Term(2), Term(3), Term(4))
+    return Declaration(
+        [Group("I", (Term(0), Term(1, c_in), Term(3, r_in, sp.stride)),
+               ws * bc * nb),
+         Group("Wt", (Term(2), Term(1, c_wt), Term(None, r_wt),
+                      Term(None, s_wt)), bc * bk * nb),
+         Group("O", out, ws * bk * nb,
+               mask=Term(1, rows=[[ic > 0] for ic in range(kern.Cb)])),
+         Group("O", out, ws * bk * nb, write=True)],
+        [(Term(None, [2.0 * ws * bk * bc * (cs * R * S)]),
+          Term(None, [brgemm_fpc(machine, kern.dtype, ws, bk, bc,
+                                   cs * R * S)]))],
+        ("conv", sp, bc, bk, ws, cs, kern.dtype, machine.name))
+
+
+class ParlooperConv(DeclaredKernel):
     """Forward convolution kernel (Listing 4)."""
 
     def __init__(self, spec: ConvSpec, bc: int = 64, bk: int = 64,
@@ -113,7 +141,6 @@ class ParlooperConv:
             spec_string, num_threads=num_threads, backend=backend)
         self.backend = self.conv_loop.backend
         self.num_threads = self.conv_loop.num_threads
-        self._sim_bodies: dict = {}
 
     # -- layout ------------------------------------------------------------
     def pack_input(self, x: np.ndarray) -> np.ndarray:
@@ -149,15 +176,8 @@ class ParlooperConv:
         return O
 
     def _execute(self, I, Wt, O):
-        if self.backend == "batched":
-            from .batched import (conv_batched_ok, record_backend_outcome,
-                                  run_conv_batched)
-            ok, reason = conv_batched_ok(self)
-            if ok:
-                record_backend_outcome("conv", "lowered")
-                run_conv_batched(self, I, Wt, O)
-                return
-            record_backend_outcome("conv", "fallback", reason)
+        if self._lowered(I, Wt, O):
+            return
         sp = self.spec
         st = sp.stride
 
@@ -189,27 +209,6 @@ class ParlooperConv:
                 if ind[1] == c_final else None)
         self.conv_loop(body)
 
-    def _abft_finish(self, I, Wt, O):
-        from ..core.errors import SdcDetectedError
-        from .abft import conv_check, record_abft_outcome
-        check = conv_check(self, I, Wt, O)
-        if not check.corrupt:
-            return
-        record_abft_outcome("conv", "detected")
-        if self.abft == "detect":
-            raise SdcDetectedError(
-                f"ABFT detected corruption: {check.describe()}",
-                check=check)
-        # the channel-sum checksum detects but cannot locate within the
-        # summed-out axis: recompute the nest once
-        self._execute(I, Wt, O)
-        record_abft_outcome("conv", "recomputed")
-        check = conv_check(self, I, Wt, O)
-        if check.corrupt:
-            raise SdcDetectedError(
-                "ABFT recompute is still corrupt: " + check.describe(),
-                check=check)
-
     def run(self, x: np.ndarray, wt: np.ndarray) -> np.ndarray:
         """Convenience: NCHW in, NKPQ out (input must be pre-padded)."""
         I = self.pack_input(x)
@@ -219,60 +218,10 @@ class ParlooperConv:
         return self.unpack_output(O)
 
     # -- performance ------------------------------------------------------
+    _accesses = conv_accesses
+    _loop = "conv_loop"
+    _family = "conv"
+
     @property
     def flops(self) -> int:
         return self.spec.flops
-
-    def sim_body(self, machine: MachineModel):
-        sp = self.spec
-        brcount = self.c_step * sp.R * sp.S
-
-        def body(ind):
-            in_, ic, ik, ih, iw, ir, is_ = ind
-            # input rows touched: one slice per (c-block, input row)
-            a_keys = [("I", in_, c, ih * sp.stride + r)
-                      for c in range(ic, ic + self.c_step)
-                      for r in range(sp.R)]
-            b_keys = [("Wt", ik, c, r, s)
-                      for c in range(ic, ic + self.c_step)
-                      for r in range(sp.R) for s in range(sp.S)]
-            return brgemm_event(
-                machine, self.dtype, self.w_step, self.bk, self.bc,
-                brcount, a_keys, b_keys, ("O", in_, ik, ih, iw),
-                beta=1.0, c_first_touch=(ic == 0))
-        return body
-
-    def _cached_sim_body(self, machine: MachineModel):
-        body = self._sim_bodies.get(machine.name)
-        if body is None:
-            body = self._sim_bodies[machine.name] = self.sim_body(machine)
-        return body
-
-    def _body_key(self, machine: MachineModel) -> tuple:
-        return ("ParlooperConv", self.spec, self.bc, self.bk,
-                self.w_step, self.c_step, self.dtype, machine.name)
-
-    def simulate(self, machine: MachineModel, session=None) -> SimResult:
-        """Engine simulation through a session (the default one if None),
-        so runs share its trace cache and report into its tracer."""
-        from ..session import resolve_session
-        return resolve_session(session).simulate(
-            self.conv_loop, self._cached_sim_body(machine), machine,
-            body_key=self._body_key(machine))
-
-    def predict(self, machine: MachineModel, session=None,
-                sample_threads: int | None = None):
-        """Box-B3 performance-model companion of :meth:`simulate`."""
-        from ..session import resolve_session
-        return resolve_session(session).predict(
-            self.conv_loop, self._cached_sim_body(machine), machine,
-            sample_threads=sample_threads, total_flops=float(self.flops),
-            body_key=self._body_key(machine),
-            trace_builder=self.trace_builder(machine))
-
-    def trace_builder(self, machine: MachineModel, loop=None):
-        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
-        ``conv_loop``), equal to compiling the interpreter's trace of
-        :meth:`sim_body` but built vectorized."""
-        from .batched import conv_trace_builder   # looked up per call
-        return conv_trace_builder(self, machine, loop)

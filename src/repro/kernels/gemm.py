@@ -2,10 +2,10 @@
 
 The kernel body is expressed with exactly two TPPs (``zero_tpp`` and the
 stride-based ``brgemm_tpp``) over the logical loop indices; all loop
-instantiation decisions live in the ``loop_spec_string`` knob.  The same
-object also produces the simulator description of itself (``sim_body``),
-so functional runs and performance simulation share one source of truth
-about what each body invocation touches.
+instantiation decisions live in the ``loop_spec_string`` knob.  What each
+body invocation touches is declared once (:func:`gemm_accesses`, shared
+with the MLP layers); the simulator body and the vectorized trace
+builder are both derived from it (:mod:`repro.kernels.access`).
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ from ..core.inject import active_injector
 from ..core.loop_spec import LoopSpecs
 from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
-from ..simulator.cost import brgemm_event, eltwise_event
-from ..simulator.engine import SimResult
+from ..simulator.cost import brgemm_fpc, eltwise_fpc
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
 from ..tpp.memory import Ptr
 from ..tpp.unary import GeluTPP, ReluTPP, ZeroTPP
 from ..tpp.binary import BiasAddColTPP
 from .abft import resolve_abft
+from .access import DeclaredKernel, Declaration, Group, Term
 from .common import (alloc_blocked_c, divisible, pack_a_blocked,
                      pack_b_blocked, unpack_c_blocked)
 
-__all__ = ["ParlooperGemm", "DEFAULT_GEMM_SPEC"]
+__all__ = ["ParlooperGemm", "gemm_accesses", "DEFAULT_GEMM_SPEC"]
 
 #: a sensible untuned default: collapse the (M, N) block space
 DEFAULT_GEMM_SPEC = "aBC"
@@ -35,7 +35,39 @@ DEFAULT_GEMM_SPEC = "aBC"
 _ACTIVATIONS = {"none": None, "relu": ReluTPP, "gelu": GeluTPP}
 
 
-class ParlooperGemm:
+def gemm_accesses(g, machine: MachineModel, names=("A", "B", "C")):
+    """The :class:`Declaration` of one GEMM body ``(ik, im, in_)``, under
+    the tensor names of a GEMM or an MLP layer: a BRGEMM reading
+    ``k_step`` A and B blocks (B at the flat-B conflict scale), reading C
+    unless first K step, writing C; on the last K step a fused
+    epilogue's eltwise read-write of C."""
+    a, b, c = names
+    nb = g.dtype.nbytes
+    b_bytes, c_bytes = g.bk * g.bn * nb, g.bm * g.bn * nb
+    scale = g._conflict_scale()
+    epilogue = g.act_tpp is not None or g.bias_tpp is not None
+    fpe = 2.0 if g.bias else 1.0
+    k, m, n = Term(0, range(g.k_step)), Term(1), Term(2)
+    groups = [Group(a, (m, k), g.bm * g.bk * nb),
+              Group(b, (n, k), b_bytes, int(b_bytes * scale), scale),
+              Group(c, (n, m), c_bytes,
+                    mask=Term(0, rows=[[ik > 0] for ik in range(g.Kb)])),
+              Group(c, (n, m), c_bytes, write=True)]
+    events = [(Term(None, [2.0 * g.bm * g.bn * g.bk * g.k_step]),
+               Term(None, [brgemm_fpc(machine, g.dtype, g.bm, g.bn, g.bk,
+                                        g.k_step)]))]
+    if epilogue:
+        last = Term(0, rows=[[ik == g.Kb - g.k_step] for ik in range(g.Kb)])
+        groups += [Group(c, (n, m), c_bytes, event=1, mask=last),
+                   Group(c, (n, m), c_bytes, write=True, event=1, mask=last)]
+        events.append((Term(None, [fpe * g.bm * g.bn]),
+                       Term(None, [eltwise_fpc(machine)])))
+    return Declaration(groups, events, (
+        "gemm", names, g.M, g.N, g.K, g.bm, g.bn, g.bk, g.k_step, g.dtype,
+        fpe if epilogue else None, scale, machine.name))
+
+
+class ParlooperGemm(DeclaredKernel):
     """C = A x B over blocked layouts, instantiated by a spec string.
 
     Logical loops (Listing 1): ``a`` = K blocks, ``b`` = M blocks,
@@ -108,7 +140,6 @@ class ParlooperGemm:
             spec_string, num_threads=num_threads, backend=backend)
         self.backend = self.gemm_loop.backend
         self.num_threads = self.gemm_loop.num_threads
-        self._sim_bodies: dict = {}
 
     # -- layout ------------------------------------------------------------
     def pack_a(self, a: np.ndarray) -> np.ndarray:
@@ -147,16 +178,8 @@ class ParlooperGemm:
         return C
 
     def _execute(self, A, B, C, bias_vec, defer_epilogue=False):
-        if self.backend == "batched":
-            from .batched import (gemm_batched_ok, record_backend_outcome,
-                                  run_gemm_batched)
-            ok, reason = gemm_batched_ok(self)
-            if ok:
-                record_backend_outcome("gemm", "lowered")
-                run_gemm_batched(self, A, B, C, bias_vec,
-                                 defer_epilogue=defer_epilogue)
-                return
-            record_backend_outcome("gemm", "fallback", reason)
+        if self._lowered(A, B, C, bias_vec, defer_epilogue=defer_epilogue):
+            return
         last_k = self.Kb - self.k_step
 
         def body(ind):
@@ -253,33 +276,13 @@ class ParlooperGemm:
         return self.unpack_c(C)
 
     # -- performance ------------------------------------------------------
+    _accesses = gemm_accesses
+    _loop = "gemm_loop"
+    _family = "gemm"
+
     @property
     def flops(self) -> int:
         return 2 * self.M * self.N * self.K
-
-    def sim_body(self, machine: MachineModel,
-                 b_footprint_scale: float | None = None):
-        """Simulator description of one body invocation."""
-        if b_footprint_scale is None:
-            b_footprint_scale = self._conflict_scale()
-        last_k = self.Kb - self.k_step
-
-        def body(ind):
-            ik, im, in_ = ind[0], ind[1], ind[2]
-            a_keys = [("A", im, k) for k in range(ik, ik + self.k_step)]
-            b_keys = [("B", in_, k) for k in range(ik, ik + self.k_step)]
-            events = [brgemm_event(
-                machine, self.dtype, self.bm, self.bn, self.bk, self.k_step,
-                a_keys, b_keys, ("C", in_, im), beta=1.0,
-                c_first_touch=(ik == 0),
-                b_footprint_scale=b_footprint_scale)]
-            if ik == last_k and (self.act_tpp or self.bias_tpp):
-                events.append(eltwise_event(
-                    machine, self.dtype, self.bm, self.bn,
-                    [("C", in_, im)], ("C", in_, im),
-                    flops_per_elem=2.0 if self.bias else 1.0))
-            return events
-        return body
 
     def _conflict_scale(self) -> float:
         """Cache-footprint inflation for flat-B with a large power-of-two
@@ -291,56 +294,6 @@ class ParlooperGemm:
         if ld >= 2048 and (ld & (ld - 1)) == 0:
             return 2.1
         return 1.25
-
-    def _cached_sim_body(self, machine: MachineModel, scale: float):
-        """One closure per (machine, scale): repeated simulate/predict
-        calls present a stable body identity to the trace cache."""
-        key = (machine.name, scale)
-        body = self._sim_bodies.get(key)
-        if body is None:
-            body = self._sim_bodies[key] = self.sim_body(machine, scale)
-        return body
-
-    def _body_key(self, machine: MachineModel, scale: float) -> tuple:
-        """Trace-cache key naming everything the body's events depend on
-        (so equal-shape kernel instances share captured traces)."""
-        return ("ParlooperGemm", self.M, self.N, self.K,
-                self.bm, self.bn, self.bk, self.k_step, self.dtype,
-                self.activation, self.bias, scale, machine.name)
-
-    def simulate(self, machine: MachineModel, session=None) -> SimResult:
-        """Engine simulation through a session (the default one if None),
-        so runs share its trace cache and report into its tracer."""
-        from ..session import resolve_session
-        sess = resolve_session(session)
-        scale = self._conflict_scale()
-        return sess.simulate(self.gemm_loop,
-                             self._cached_sim_body(machine, scale),
-                             machine,
-                             body_key=self._body_key(machine, scale))
-
-    def predict(self, machine: MachineModel, session=None,
-                sample_threads: int | None = None):
-        """Box-B3 performance-model companion of :meth:`simulate`
-        (:class:`~repro.simulator.perfmodel.PerfPrediction`)."""
-        from ..session import resolve_session
-        sess = resolve_session(session)
-        scale = self._conflict_scale()
-        return sess.predict(self.gemm_loop,
-                            self._cached_sim_body(machine, scale),
-                            machine, sample_threads=sample_threads,
-                            total_flops=float(self.flops),
-                            body_key=self._body_key(machine, scale),
-                            trace_builder=self.trace_builder(machine))
-
-    def trace_builder(self, machine: MachineModel, loop=None):
-        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
-        ``gemm_loop``; a tuning candidate passes its own), equal to
-        compiling the interpreter's trace of :meth:`sim_body` but built
-        vectorized, whatever the execution backend."""
-        from .batched import gemm_trace_builder   # looked up per call
-        return gemm_trace_builder(self, machine, self._conflict_scale(),
-                                  loop)
 
     def with_spec(self, spec_string: str, block_steps=None,
                   num_threads=None) -> "ParlooperGemm":

@@ -110,45 +110,11 @@ class ParlooperMlp:
     def flops(self) -> int:
         return sum(layer.gemm.flops for layer in self.layers)
 
-    def _layer_sim_body(self, l: int, machine: MachineModel):
-        """Simulator body of layer *l* with per-layer activation keys, so
-        the engine sees one layer's output tensor as the next's input."""
-        cached = getattr(self, "_sim_bodies", None)
-        if cached is None:
-            cached = self._sim_bodies = {}
-        key = (l, machine.name)
-        body = cached.get(key)
-        if body is not None:
-            return body
-        g = self.layers[l].gemm
-
-        def body(ind, l=l, g=g):
-            ik, im, in_ = ind
-            from ..simulator.cost import brgemm_event, eltwise_event
-            a_keys = [(f"W{l}", im, k)
-                      for k in range(ik, ik + g.k_step)]
-            # layer input = previous layer's output tensor
-            b_keys = [(f"ACT{l}", in_, k)
-                      for k in range(ik, ik + g.k_step)]
-            events = [brgemm_event(
-                machine, g.dtype, g.bm, g.bn, g.bk, g.k_step,
-                a_keys, b_keys, (f"ACT{l + 1}", in_, im), beta=1.0,
-                c_first_touch=(ik == 0))]
-            if ik == g.Kb - g.k_step:
-                events.append(eltwise_event(
-                    machine, g.dtype, g.bm, g.bn,
-                    [(f"ACT{l + 1}", in_, im)],
-                    (f"ACT{l + 1}", in_, im), flops_per_elem=2.0))
-            return events
-
-        cached[key] = body
-        return body
-
-    def _layer_body_key(self, l: int, machine: MachineModel) -> tuple:
-        g = self.layers[l].gemm
-        return ("ParlooperMlp.layer", l, self.sizes[l], self.sizes[l + 1],
-                self.minibatch, g.bm, g.bn, g.bk, g.k_step, self.dtype,
-                machine.name)
+    def layer_declaration(self, l: int, machine: MachineModel):
+        """Layer *l*'s GEMM access declaration, tensors named per layer so
+        the engine sees one layer's output as the next layer's input."""
+        return self.layers[l].gemm.declaration(
+            machine, (f"W{l}", f"ACT{l}", f"ACT{l + 1}"))
 
     def simulate(self, machine: MachineModel, session=None) -> SimResult:
         """Simulate the full cascade as one run so activations written in
@@ -166,7 +132,7 @@ class ParlooperMlp:
             for l in range(len(self.layers)):
                 traces = trace_threaded_loop(
                     self.layers[l].gemm.gemm_loop,
-                    self._layer_sim_body(l, machine))
+                    self.layer_declaration(l, machine).body)
                 if merged is None:
                     merged = traces
                 else:
@@ -188,16 +154,14 @@ class ParlooperMlp:
         from ..simulator.perfmodel import PerfPrediction
         from .batched import mlp_layer_trace_builder
         sess = resolve_session(session)
-        preds = [
-            sess.predict(self.layers[l].gemm.gemm_loop,
-                         self._layer_sim_body(l, machine), machine,
-                         sample_threads=sample_threads,
-                         total_flops=float(self.layers[l].gemm.flops),
-                         body_key=self._layer_body_key(l, machine),
-                         trace_builder=mlp_layer_trace_builder(
-                             self, l, machine))
-            for l in range(len(self.layers))
-        ]
+        preds = []
+        for l, layer in enumerate(self.layers):
+            decl = self.layer_declaration(l, machine)
+            preds.append(sess.predict(
+                layer.gemm.gemm_loop, decl.body, machine,
+                sample_threads=sample_threads,
+                total_flops=float(layer.gemm.flops), body_key=decl.key,
+                trace_builder=mlp_layer_trace_builder(self, l, machine)))
         seconds = sum(p.seconds for p in preds)
         per_thread = tuple(
             sum(vals) for vals in zip(*(p.per_thread_seconds

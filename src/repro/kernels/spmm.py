@@ -17,19 +17,44 @@ from ..core.inject import active_injector
 from ..core.loop_spec import LoopSpecs
 from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
-from ..simulator.cost import spmm_event
-from ..simulator.engine import SimResult
+from ..simulator.cost import brgemm_fpc
 from ..tpp.dtypes import DType, Precision
 from ..tpp.sparse import BCSCMatrix, BlockSpMMTPP
 from .abft import resolve_abft
+from .access import DeclaredKernel, Declaration, Group, Term
 from .common import as_dtype, divisible
 
-__all__ = ["ParlooperSpmm", "DEFAULT_SPMM_SPEC"]
+__all__ = ["ParlooperSpmm", "spmm_accesses", "DEFAULT_SPMM_SPEC"]
 
 DEFAULT_SPMM_SPEC = "AB"
 
 
-class ParlooperSpmm:
+def spmm_accesses(kern, machine: MachineModel):
+    """The :class:`Declaration` of one SpMM body ``(i_m, i_n)``: the
+    nonzero A blocks of block row ``i_m`` (ascending column), their B
+    blocks and the C write (beta = 0).  A block row without nonzeros
+    makes no access, so no event."""
+    a = kern.a
+    bm, bk, bn, nb = a.bm, a.bk, kern.bn, kern.dtype.nbytes
+    ptr, col_idx = a.row_ptr.tolist(), a.col_idx.tolist()
+    cols = [col_idx[p:q] for p, q in zip(ptr, ptr[1:])]
+    width = max(map(len, cols), default=0) or 1
+    # each block row's nonzero block columns, padded and masked
+    kc = Term(0, rows=[c + [0] * (width - len(c)) for c in cols])
+    valid = Term(0, rows=[[j < len(c) for j in range(width)] for c in cols])
+    i_m, i_n = Term(0), Term(1)
+    return Declaration(
+        [Group("Asp", (i_m, kc), bm * bk * nb, mask=valid),
+         Group("B", (kc, i_n), bk * bn * nb, mask=valid),
+         Group("C", (i_m, i_n), bm * bn * nb, write=True,
+               mask=Term(0, rows=[[len(c) > 0] for c in cols]))],
+        [(Term(0, rows=[[2.0 * bm * bn * bk * len(c)] for c in cols]),
+          Term(0, rows=[[brgemm_fpc(machine, kern.dtype, bm, bn, bk,
+                                 max(1, len(c)))] for c in cols]))],
+        ("spmm", kern._a_token, kern.N, bn, kern.dtype, machine.name))
+
+
+class ParlooperSpmm(DeclaredKernel):
     """C = A_sparse x B_dense with BCSC block sparsity."""
 
     def __init__(self, a: BCSCMatrix, N: int, bn: int = 64,
@@ -62,7 +87,6 @@ class ParlooperSpmm:
             spec_string, num_threads=num_threads, backend=backend)
         self.backend = self.spmm_loop.backend
         self.num_threads = self.spmm_loop.num_threads
-        self._sim_bodies: dict = {}
         # the body walks A's nonzero structure, which no shape tuple can
         # name — an owned sentinel keeps trace-cache keys collision-free
         self._a_token = object()
@@ -86,15 +110,8 @@ class ParlooperSpmm:
         return C
 
     def _execute(self, B, C):
-        if self.backend == "batched":
-            from .batched import (record_backend_outcome, run_spmm_batched,
-                                  spmm_batched_ok)
-            ok, reason = spmm_batched_ok(self)
-            if ok:
-                record_backend_outcome("spmm", "lowered")
-                run_spmm_batched(self, B, C)
-                return
-            record_backend_outcome("spmm", "fallback", reason)
+        if self._lowered(B, C):
+            return
         bm = self.a.bm
 
         def body(ind):
@@ -112,33 +129,18 @@ class ParlooperSpmm:
                               ind[1] * self.bn:(ind[1] + 1) * self.bn])
         self.spmm_loop(body)
 
-    def _abft_finish(self, B, C):
-        from ..core.errors import SdcDetectedError
-        from .abft import record_abft_outcome, spmm_check
-        check = spmm_check(self, B, C)
-        if not check.corrupt:
-            return
-        record_abft_outcome("spmm", "detected")
-        if self.abft == "detect":
-            raise SdcDetectedError(
-                f"ABFT detected corruption: {check.describe()}",
-                check=check)
-        # the column checksum sums out M, so it detects but cannot locate
-        # the bad row: recompute the nest once
-        self._execute(B, C)
-        record_abft_outcome("spmm", "recomputed")
-        check = spmm_check(self, B, C)
-        if check.corrupt:
-            raise SdcDetectedError(
-                "ABFT recompute is still corrupt: " + check.describe(),
-                check=check)
-
     def run(self, b: np.ndarray) -> np.ndarray:
         C = self.alloc_c()
         self(self.pack_b(b), C)
         return C
 
     # -- performance ------------------------------------------------------
+    _accesses = spmm_accesses
+    _loop = "spmm_loop"
+    _family = "spmm"
+    #: scored in dense-equivalent flops, like the Fig 8 y-axis
+    _flops_attr = "effective_flops"
+
     @property
     def effective_flops(self) -> int:
         """Dense-equivalent flops (the paper's 'effective GFLOPS' y-axis
@@ -148,59 +150,6 @@ class ParlooperSpmm:
     @property
     def actual_flops(self) -> int:
         return 2 * self.a.bm * self.a.bk * self.N * self.a.nnz_blocks
-
-    def sim_body(self, machine: MachineModel):
-        a = self.a
-
-        def body(ind):
-            i_m, i_n = ind[0], ind[1]
-            cols = [kc for kc, _blk in a.row_blocks(i_m)]
-            if not cols:
-                return None
-            a_keys = [("Asp", i_m, kc) for kc in cols]
-            b_keys = [("B", kc, i_n) for kc in cols]
-            return spmm_event(machine, self.dtype, a.bm, self.bn, a.bk,
-                              len(cols), a_keys, b_keys,
-                              ("C", i_m, i_n), beta=0.0)
-        return body
-
-    def _cached_sim_body(self, machine: MachineModel):
-        body = self._sim_bodies.get(machine.name)
-        if body is None:
-            body = self._sim_bodies[machine.name] = self.sim_body(machine)
-        return body
-
-    def _body_key(self, machine: MachineModel) -> tuple:
-        return ("ParlooperSpmm", self._a_token, self.N, self.bn,
-                self.dtype, machine.name)
-
-    def simulate(self, machine: MachineModel, session=None) -> SimResult:
-        """Engine simulation through a session (the default one if None),
-        so runs share its trace cache and report into its tracer."""
-        from ..session import resolve_session
-        return resolve_session(session).simulate(
-            self.spmm_loop, self._cached_sim_body(machine), machine,
-            body_key=self._body_key(machine))
-
-    def predict(self, machine: MachineModel, session=None,
-                sample_threads: int | None = None):
-        """Box-B3 performance-model companion of :meth:`simulate`.
-
-        Scored in *effective* (dense-equivalent) flops, like Fig 8."""
-        from ..session import resolve_session
-        return resolve_session(session).predict(
-            self.spmm_loop, self._cached_sim_body(machine), machine,
-            sample_threads=sample_threads,
-            total_flops=float(self.effective_flops),
-            body_key=self._body_key(machine),
-            trace_builder=self.trace_builder(machine))
-
-    def trace_builder(self, machine: MachineModel, loop=None):
-        """``tid -> CompiledTrace`` of *loop* (default: this kernel's
-        ``spmm_loop``), equal to compiling the interpreter's trace of
-        :meth:`sim_body` but built vectorized."""
-        from .batched import spmm_trace_builder   # looked up per call
-        return spmm_trace_builder(self, machine, loop)
 
     def effective_gflops(self, machine: MachineModel, session=None) -> float:
         """Dense-equivalent throughput (Fig 8 y-axis)."""

@@ -11,11 +11,27 @@ from __future__ import annotations
 
 from ..platform.machine import MachineModel
 from ..tpp.backend.dispatch import dispatch_brgemm
+from ..tpp.backend.isa import ISA_SPECS
 from ..tpp.dtypes import DType
 from .trace import Access, BodyEvent
 
-__all__ = ["brgemm_event", "spmm_event", "eltwise_event",
-           "bandwidth_event"]
+__all__ = ["brgemm_fpc", "eltwise_fpc", "brgemm_event", "spmm_event",
+           "eltwise_event", "bandwidth_event"]
+
+
+def brgemm_fpc(machine: MachineModel, dtype: DType, bm: int, bn: int,
+               bk: int, brcount: int) -> float:
+    """FLOP/cycle of the BRGEMM microkernel the shape dispatches to."""
+    return dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk,
+                           brcount).flops_per_cycle()
+
+
+def eltwise_fpc(machine: MachineModel) -> float:
+    """FLOP/cycle of an elementwise/normalisation TPP: the vector pipes
+    at roughly half FMA throughput (one op per lane rather than a fused
+    two)."""
+    return ISA_SPECS[machine.isa_for(DType.F32)].flops_per_cycle(
+        DType.F32) / 2.0
 
 
 def brgemm_event(machine: MachineModel, dtype: DType,
@@ -30,7 +46,6 @@ def brgemm_event(machine: MachineModel, dtype: DType,
     misses (flat B with large power-of-two leading dimension, §V-A1).
     """
     nb = dtype.nbytes
-    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk, brcount)
     accesses = []
     a_bytes = bm * bk * nb
     b_bytes = bk * bn * nb
@@ -47,7 +62,7 @@ def brgemm_event(machine: MachineModel, dtype: DType,
     return BodyEvent(
         accesses=tuple(accesses),
         flops=2.0 * bm * bn * bk * brcount,
-        flops_per_cycle=cfg.flops_per_cycle(),
+        flops_per_cycle=brgemm_fpc(machine, dtype, bm, bn, bk, brcount),
     )
 
 
@@ -63,8 +78,6 @@ def spmm_event(machine: MachineModel, dtype: DType,
     block's K depth), so small blocks pay the systolic-underfill penalty.
     """
     nb = dtype.nbytes
-    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk,
-                          max(1, nnz_blocks))
     accesses = []
     for k in a_keys:
         accesses.append(Access(k, bm * bk * nb))
@@ -77,22 +90,17 @@ def spmm_event(machine: MachineModel, dtype: DType,
     return BodyEvent(
         accesses=tuple(accesses),
         flops=2.0 * bm * bn * bk * nnz_blocks,
-        flops_per_cycle=cfg.flops_per_cycle(),
+        flops_per_cycle=brgemm_fpc(machine, dtype, bm, bn, bk,
+                                   max(1, nnz_blocks)),
     )
 
 
 def eltwise_event(machine: MachineModel, dtype: DType, m: int, n: int,
                   in_keys, out_key, flops_per_elem: float = 1.0,
                   reads_output: bool = False) -> BodyEvent:
-    """Event for an elementwise/normalisation TPP over an (m, n) block.
-
-    Elementwise ops run on the vector pipes at roughly half FMA
-    throughput (one op per lane rather than a fused two).
-    """
-    from ..tpp.backend.isa import ISA_SPECS
+    """Event for an elementwise/normalisation TPP over an (m, n) block,
+    priced at :func:`eltwise_fpc`."""
     nb = dtype.nbytes
-    spec = ISA_SPECS[machine.isa_for(DType.F32)]
-    fpc = spec.flops_per_cycle(DType.F32) / 2.0
     accesses = [Access(k, m * n * nb) for k in in_keys]
     if reads_output:
         accesses.append(Access(out_key, m * n * nb))
@@ -100,7 +108,7 @@ def eltwise_event(machine: MachineModel, dtype: DType, m: int, n: int,
     return BodyEvent(
         accesses=tuple(accesses),
         flops=flops_per_elem * m * n,
-        flops_per_cycle=fpc,
+        flops_per_cycle=eltwise_fpc(machine),
     )
 
 

@@ -31,9 +31,9 @@ With ``REPRO_FUZZ_BACKEND=batched`` every exact-match case additionally
 runs a **backend oracle**: the same kernel built with
 ``backend="batched"`` must reproduce the serial reference bit-exactly
 (through the tile-level executor where eligible, through its interpreter
-fallback otherwise), and its vectorized trace builder must emit
-:class:`~repro.simulator.reuse.CompiledTrace`\\ s whose digests equal
-the interpreter-captured ones for every thread.
+fallback otherwise), and every thread's vectorized trace-builder digest
+must equal the interpreter-compiled digests of the kernel's ``sim_body``
+and of its hand-written reference (:mod:`repro.verify.reference_bodies`).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from ..core.threaded_loop import ThreadedLoop
 from ..platform import SPR
 from ..simulator.trace import _serialize_spec
 from ..tuner.constraints import prefix_products
+from . import reference_bodies
 from .coverage import check_coverage
 from .races import detect_races
 
@@ -77,7 +78,8 @@ class FuzzFamily:
     family's fixed inputs and returns the output array.  With
     ``execution="serial"`` the kernel runs the *serialized* spec on one
     thread (the reference); with ``"threads"`` it runs the candidate spec
-    on real threads.
+    on real threads; with ``"batched"`` on the batched backend, and the
+    third element returns the per-tid digest triples instead.
     """
 
     name: str
@@ -133,17 +135,43 @@ def fuzz_backend() -> str:
     return os.environ.get("REPRO_FUZZ_BACKEND", "").strip()
 
 
-def _digest_pairs(loop, sim_body, builder) -> list:
-    """Per-tid ``(interpreted digest, builder digest)`` pairs — the
-    trace-equivalence half of the backend oracle."""
+def _digest_triples(loop, reference, derived, builder) -> list:
+    """Per-tid digests of the interpreted *reference* and *derived*
+    bodies and of the *builder* — the backend oracle's trace half."""
     from ..simulator.memo import TraceCache
     from ..simulator.reuse import compile_trace
-    tc = TraceCache()
     return [
-        (compile_trace(tc.thread_trace(loop, sim_body, tid)).digest(),
+        (compile_trace(TraceCache().thread_trace(loop, reference,
+                                                 tid)).digest(),
+         compile_trace(TraceCache().thread_trace(loop, derived,
+                                                 tid)).digest(),
          builder(tid).digest())
         for tid in range(loop.num_threads)
     ]
+
+
+def _kernel_build(make, run, reference):
+    """The :attr:`FuzzFamily.build` of a declared kernel family made by
+    ``make(spec, num_threads, block_steps, **kw)``, run on the family's
+    inputs by ``run(kern)``, with hand-written body ``reference``."""
+
+    def build(spec, block_steps, num_threads, execution):
+        if execution == "batched":
+            kern = make(spec, num_threads, block_steps, backend="batched")
+            loop = getattr(kern, kern._loop)
+            return (loop, lambda: run(kern), lambda: _digest_triples(
+                loop, reference(kern, SPR), kern.sim_body(SPR),
+                kern.trace_builder(SPR)))
+        kern = make(_serialize_spec(spec), None, block_steps)
+        if execution == "threads":
+            loop = ThreadedLoop(getattr(kern, kern._loop).specs, spec,
+                                num_threads=num_threads,
+                                execution="threads")
+            setattr(kern, kern._loop, loop)
+            kern.num_threads = loop.num_threads
+        return getattr(kern, kern._loop), lambda: run(kern), \
+            kern.sim_body(SPR)
+    return build
 
 
 def _gemm_family(name: str = "gemm", mlp: bool = False) -> FuzzFamily:
@@ -159,34 +187,16 @@ def _gemm_family(name: str = "gemm", mlp: bool = False) -> FuzzFamily:
     base = (LoopSpecs(0, K // blk, 1), LoopSpecs(0, M // blk, 1),
             LoopSpecs(0, N // blk, 1))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperGemm(
-                M, N, K, blk, blk, blk, k_step=1,
-                spec_string=spec, num_threads=num_threads,
-                block_steps=block_steps or ((), (), ()),
-                activation="relu" if mlp else "none", bias=mlp,
-                backend="batched")
-            from ..kernels.batched import gemm_trace_builder
-            builder = gemm_trace_builder(kern, SPR,
-                                         kern._conflict_scale())
-            return (kern.gemm_loop, lambda: kern.run_flat(a, b, bias),
-                    lambda: _digest_pairs(kern.gemm_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperGemm(
-            M, N, K, blk, blk, blk, k_step=1,
-            spec_string=_serialize_spec(spec),
+    def make(spec, num_threads, block_steps, **kw):
+        return ParlooperGemm(
+            M, N, K, blk, blk, blk, k_step=1, spec_string=spec,
+            num_threads=num_threads,
             block_steps=block_steps or ((), (), ()),
-            activation="relu" if mlp else "none", bias=mlp)
-        if execution == "threads":
-            kern.gemm_loop = ThreadedLoop(kern.gemm_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.gemm_loop.num_threads
-        return (kern.gemm_loop, lambda: kern.run_flat(a, b, bias),
-                kern.sim_body(SPR))
+            activation="relu" if mlp else "none", bias=mlp, **kw)
 
-    return FuzzFamily(name, base, build)
+    return FuzzFamily(name, base, _kernel_build(
+        make, lambda kern: kern.run_flat(a, b, bias),
+        reference_bodies.gemm_body))
 
 
 def _conv_family() -> FuzzFamily:
@@ -200,32 +210,14 @@ def _conv_family() -> FuzzFamily:
             LoopSpecs(0, cs.P, 1), LoopSpecs(0, cs.Q, w_step),
             LoopSpecs(0, cs.R, cs.R), LoopSpecs(0, cs.S, cs.S))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperConv(cs, bc=16, bk=16, w_step=w_step,
-                                 spec_string=spec,
-                                 num_threads=num_threads,
-                                 block_steps=list(block_steps)
-                                 if block_steps else None,
-                                 backend="batched")
-            from ..kernels.batched import conv_trace_builder
-            builder = conv_trace_builder(kern, SPR)
-            return (kern.conv_loop, lambda: kern.run(x, wt),
-                    lambda: _digest_pairs(kern.conv_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperConv(cs, bc=16, bk=16, w_step=w_step,
-                             spec_string=_serialize_spec(spec),
-                             block_steps=list(block_steps)
-                             if block_steps else None)
-        if execution == "threads":
-            kern.conv_loop = ThreadedLoop(kern.conv_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.conv_loop.num_threads
-        return (kern.conv_loop, lambda: kern.run(x, wt),
-                kern.sim_body(SPR))
+    def make(spec, num_threads, block_steps, **kw):
+        return ParlooperConv(
+            cs, bc=16, bk=16, w_step=w_step, spec_string=spec,
+            num_threads=num_threads,
+            block_steps=list(block_steps) if block_steps else None, **kw)
 
-    return FuzzFamily("conv", base, build)
+    return FuzzFamily("conv", base, _kernel_build(
+        make, lambda kern: kern.run(x, wt), reference_bodies.conv_body))
 
 
 def _spmm_family() -> FuzzFamily:
@@ -241,29 +233,13 @@ def _spmm_family() -> FuzzFamily:
     amat = BCSCMatrix.from_dense(dense, 16, 16)
     base = (LoopSpecs(0, amat.n_block_rows, 1), LoopSpecs(0, 4, 1))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperSpmm(amat, 64, bn=16, spec_string=spec,
-                                 num_threads=num_threads,
-                                 block_steps=block_steps or ((), ()),
-                                 backend="batched")
-            from ..kernels.batched import spmm_trace_builder
-            builder = spmm_trace_builder(kern, SPR)
-            return (kern.spmm_loop, lambda: kern.run(bmat),
-                    lambda: _digest_pairs(kern.spmm_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperSpmm(amat, 64, bn=16,
-                             spec_string=_serialize_spec(spec),
-                             block_steps=block_steps or ((), ()))
-        if execution == "threads":
-            kern.spmm_loop = ThreadedLoop(kern.spmm_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.spmm_loop.num_threads
-        return (kern.spmm_loop, lambda: kern.run(bmat),
-                kern.sim_body(SPR))
+    def make(spec, num_threads, block_steps, **kw):
+        return ParlooperSpmm(amat, 64, bn=16, spec_string=spec,
+                             num_threads=num_threads,
+                             block_steps=block_steps or ((), ()), **kw)
 
-    return FuzzFamily("spmm", base, build)
+    return FuzzFamily("spmm", base, _kernel_build(
+        make, lambda kern: kern.run(bmat), reference_bodies.spmm_body))
 
 
 def default_families() -> tuple:
@@ -409,11 +385,12 @@ def _run_batched_oracle(family: FuzzFamily, spec: str, blocks, num_threads,
                         ref, res: FuzzResult) -> None:
     """The ``REPRO_FUZZ_BACKEND=batched`` oracle: the batched backend
     (tile-level executor or its interpreter fallback) must match the
-    serial reference bit-exactly, and the vectorized trace builder must
-    emit digests equal to the interpreter-captured compiled traces."""
+    serial reference bit-exactly, and the reference body, the derived
+    body and the vectorized trace builder must agree digest for
+    digest."""
     try:
-        _loop, run, digest_pairs = family.build(spec, blocks, num_threads,
-                                                "batched")
+        _loop, run, digest_triples = family.build(spec, blocks,
+                                                  num_threads, "batched")
         out = run()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
         res.mismatches.append(
@@ -426,17 +403,17 @@ def _run_batched_oracle(family: FuzzFamily, spec: str, blocks, num_threads,
             (spec, f"serial vs batched backend max abs diff {diff}"))
         return
     try:
-        pairs = digest_pairs()
+        triples = digest_triples()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
         res.mismatches.append(
-            (spec, f"trace builder raised {type(exc).__name__}: {exc}"))
+            (spec, f"trace capture raised {type(exc).__name__}: {exc}"))
         return
-    for tid, (d_ref, d_built) in enumerate(pairs):
-        if d_ref != d_built:
+    for tid, (d_ref, d_body, d_built) in enumerate(triples):
+        if not d_ref == d_body == d_built:
             res.mismatches.append(
                 (spec, f"compiled-trace digest diverges for tid {tid}: "
-                       f"interpreted {d_ref[:12]} != builder "
-                       f"{d_built[:12]}"))
+                       f"reference body {d_ref[:12]}, derived body "
+                       f"{d_body[:12]}, builder {d_built[:12]}"))
             return
     res.backend_checked += 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..baselines.stacks import STACKS, StackModel
 from ..kernels.gemm import ParlooperGemm
 from ..platform.machine import MachineModel
-from ..tpp.backend.dispatch import dispatch_brgemm
+from ..simulator.cost import brgemm_fpc, eltwise_fpc
 from ..tpp.backend.isa import ISA_SPECS, matrix_unit_efficiency
 from ..tpp.dtypes import DType
 
@@ -85,9 +85,9 @@ class OpCostModel:
 
     def _roofline_gemm(self, M, N, K, dtype, bm, bn, bk) -> float:
         flops = 2.0 * M * N * K
-        cfg = dispatch_brgemm(self.machine.isa_for(dtype), dtype,
-                              max(1, bm), max(1, bn), max(1, bk))
-        peak = (cfg.flops_per_cycle() * self.machine.freq_ghz * GIGA
+        fpc = brgemm_fpc(self.machine, dtype, max(1, bm), max(1, bn),
+                         max(1, bk), 1)
+        peak = (fpc * self.machine.freq_ghz * GIGA
                 * min(self.num_threads, self.machine.total_cores))
         nbytes = (M * K + K * N + M * N) * dtype.nbytes
         bw = self.machine.dram_bw_gbytes * GIGA
@@ -125,11 +125,9 @@ class OpCostModel:
         if one is None:
             mr, nr, kr = key[1], key[2], key[3]
             flops = 2.0 * mr * nr * kr
-            cfg = dispatch_brgemm(self.machine.isa_for(dt), dt,
-                                  self._block(mr), self._block(nr),
-                                  self._block(kr))
-            core_peak = (cfg.flops_per_cycle() * self.machine.freq_ghz
-                         * GIGA)
+            core_peak = (brgemm_fpc(self.machine, dt, self._block(mr),
+                                    self._block(nr), self._block(kr), 1)
+                         * self.machine.freq_ghz * GIGA)
             nbytes = (mr * kr + kr * nr + mr * nr) * dt.nbytes
             core_bw = min(self.machine.core_dram_gbytes,
                           self.machine.dram_bw_gbytes) * GIGA
@@ -213,9 +211,7 @@ class OpCostModel:
         Fused stacks touch memory once for the whole chain (the paper's
         2D-block fusion, §IV-A); unfused stacks round-trip per op.
         """
-        spec = ISA_SPECS[self.machine.isa_for(DType.F32)]
-        vec_peak = (spec.flops_per_cycle(DType.F32) / 2.0
-                    * self.machine.freq_ghz * GIGA
+        vec_peak = (eltwise_fpc(self.machine) * self.machine.freq_ghz * GIGA
                     * min(self.num_threads, self.machine.total_cores))
         flops = flops_per_elem * elems * n_ops
         trips = 1 if self.stack.fused else n_ops

@@ -25,6 +25,7 @@ from repro.simulator.memo import TraceCache
 from repro.simulator.reuse import compile_trace
 from repro.tpp.dtypes import DType
 from repro.tpp.sparse import BCSCMatrix
+from repro.verify import reference_bodies
 
 RNG = np.random.default_rng(0xBA7C)
 
@@ -33,18 +34,22 @@ def ints(shape):
     return RNG.integers(-2, 3, size=shape).astype(np.float32)
 
 
-def digests_equal(loop, sim_body, builder) -> bool:
-    """Builder-emitted CompiledTrace digests equal the interpreter's, and
-    so do the builder's slice keys, which it decodes only on demand."""
-    tc = TraceCache()
+def digests_equal(loop, sim_body, reference, builder) -> bool:
+    """Builder-emitted CompiledTrace digests equal the interpreter's
+    compiled traces of the kernel's declaration-derived *sim_body* and
+    of the hand-written *reference* body, and so do the builder's slice
+    keys, which it decodes only on demand."""
     for tid in range(loop.num_threads):
-        ref = compile_trace(tc.thread_trace(loop, sim_body, tid))
+        derived = compile_trace(TraceCache().thread_trace(loop, sim_body,
+                                                          tid))
+        ref = compile_trace(TraceCache().thread_trace(loop, reference, tid))
         got = builder(tid)
         if got.n_accesses and not callable(got.key_table):
             return False            # keys were decoded eagerly
-        if got.n_keys != len(ref.keys) or got.keys != ref.keys:
+        if got.n_keys != len(ref.keys) or not (
+                got.keys == derived.keys == ref.keys):
             return False
-        if got.digest() != ref.digest():
+        if not got.digest() == derived.digest() == ref.digest():
             return False
     return True
 
@@ -163,7 +168,8 @@ class TestGemmBatched:
                              block_steps=blocks, backend="batched")
         assert digests_equal(
             kern.gemm_loop, kern.sim_body(SPR),
-            gemm_trace_builder(kern, SPR, kern._conflict_scale()))
+            reference_bodies.gemm_body(kern, SPR),
+            gemm_trace_builder(kern, SPR))
 
 
 class TestConvBatched:
@@ -186,6 +192,7 @@ class TestConvBatched:
     def test_trace_digests(self):
         _, bat = self._pair()
         assert digests_equal(bat.conv_loop, bat.sim_body(SPR),
+                             reference_bodies.conv_body(bat, SPR),
                              conv_trace_builder(bat, SPR))
 
 
@@ -215,6 +222,7 @@ class TestSpmmBatched:
         bat = ParlooperSpmm(ragged_amat(), 64, bn=16, num_threads=4,
                             backend="batched")
         assert digests_equal(bat.spmm_loop, bat.sim_body(SPR),
+                             reference_bodies.spmm_body(bat, SPR),
                              spmm_trace_builder(bat, SPR))
 
 
@@ -238,7 +246,10 @@ class TestMlpBatched:
                            backend="batched")
         for l in range(len(bat.layers)):
             assert digests_equal(bat.layers[l].gemm.gemm_loop,
-                                 bat._layer_sim_body(l, SPR),
+                                 bat.layer_declaration(l, SPR).body,
+                                 reference_bodies.gemm_body(
+                                     bat.layers[l].gemm, SPR,
+                                     (f"W{l}", f"ACT{l}", f"ACT{l + 1}")),
                                  mlp_layer_trace_builder(bat, l, SPR))
 
 
@@ -296,6 +307,29 @@ class TestFallbackGates:
         assert not ok and "flat-B" in reason
         ref = ParlooperGemm(64, 64, 64, 32, 32, 32, **kw)
         assert np.array_equal(ref.run_flat(a, b), bat.run_flat(a, b))
+
+    def test_fallback_and_lowering_are_counted(self):
+        # every batched dispatch decision lands on batched_exec
+        from repro.obs import ObsConfig
+        from repro.session import Session
+        a, b = ints((64, 64)), ints((64, 64))
+        kw = dict(k_step=1, num_threads=2, backend="batched")
+        flat = ParlooperGemm(64, 64, 64, 32, 32, 32, flat_b=True, **kw)
+        blocked = ParlooperGemm(64, 64, 64, 32, 32, 32, **kw)
+        _, reason = gemm_batched_ok(flat)
+        ses = Session(SPR, obs=ObsConfig(tracing=False))
+        with ses.activate():
+            flat.run_flat(a, b)
+        assert ses.metrics.value("batched_exec", kernel="gemm",
+                                 outcome="fallback", reason=reason) == 1
+        assert ses.metrics.value("batched_exec", kernel="gemm",
+                                 outcome="lowered") == 0
+        with ses.activate():
+            blocked.run_flat(a, b)
+        assert ses.metrics.value("batched_exec", kernel="gemm",
+                                 outcome="lowered") == 1
+        assert ses.metrics.value("batched_exec", kernel="gemm",
+                                 outcome="fallback", reason=reason) == 1
 
     def test_vnni_spmm_gate(self):
         dense = ints((64, 64))

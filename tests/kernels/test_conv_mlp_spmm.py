@@ -131,6 +131,18 @@ class TestMlp:
                            num_threads=1)
         assert mlp.flops == 2 * 64 * (128 * 256 + 256 * 128)
 
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_predict_sums_layer_gemms(self, activation, bias):
+        # layers are modelled by their GEMM's own access declaration: an
+        # epilogue eltwise event only when the kernel runs one
+        from repro.session import Session
+        mlp = ParlooperMlp([256, 256, 256], 128, bm=32, bn=32, bk=32,
+                           num_threads=4, activation=activation, bias=bias)
+        layers = sum(layer.gemm.predict(SPR, session=Session()).seconds
+                     for layer in mlp.layers)
+        assert mlp.predict(SPR, session=Session()).seconds == layers
+
     def test_spr_efficiency_capped_by_llc(self):
         # Fig 3: SPR BF16 MLP efficiency saturates well below peak due to
         # LLC-bandwidth-bound activation handoff; GVT3/Zen4 run near peak

@@ -22,7 +22,7 @@ def _gemm(spec, num_threads=2):
 
 
 def _built(kern):
-    b = gemm_trace_builder(kern, SPR, kern._conflict_scale())
+    b = gemm_trace_builder(kern, SPR)
     return [b(tid) for tid in range(kern.gemm_loop.num_threads)]
 
 
